@@ -246,10 +246,19 @@ let memo_stream draw =
     done;
     !a.(i)
 
+(* The request populations of all three workloads come from one fixed
+   generator seed, and [--seed] varies the order and the draws. Cost per
+   request is heavy-tailed: a rare engine instance allocates a hundred
+   times the median, and response sizes differ by kind and parameters,
+   so per-seed warm-json populations moved throughput by 30% and per-seed
+   cold-sim pools moved the per-run means by 12-16%, more than the
+   run-to-run noise. *)
+let pool_seed = 0
+
 (* warm-json: the population fits the server's 256-entry result cache and
    is primed once during set-up, so every timed request is a hit. *)
 let warm_json ~seed =
-  let requests = population (rng seed 1) warm_mix in
+  let requests = population (rng pool_seed 1) warm_mix in
   let st = rng seed 2 in
   let n = Array.length requests in
   {
@@ -259,13 +268,6 @@ let warm_json ~seed =
     timed = memo_stream (fun () -> Random.State.int st n);
     timed_cap = max_int;
   }
-
-(* The instance pools of cold-sim and routed-zipf come from one fixed
-   generator seed. Engine cost per instance is heavy-tailed (a rare
-   instance allocates a hundred times the median), so a pool drawn per
-   seed would move the per-run means by more than the run-to-run noise;
-   [--seed] varies the order and the draws instead. *)
-let pool_seed = 0
 
 let shuffle st a =
   for i = Array.length a - 1 downto 1 do

@@ -61,18 +61,25 @@ let config_of = function
         replay_timed = 2000;
         check_every = 1;
         rounds = Slices 20;
-        client_cpus = None;
-        server_cpus = None;
+        client_cpus = Some "0";
+        server_cpus = Some "1";
       }
   | "cold-sim" ->
+      (* One request at a time: client and server share one CPU, where a
+         second outstanding request only wakes the server's I/O domain
+         in the middle of the worker's computation. Against a window of
+         2 in three interleaved pairs, the server was busy 98% of the
+         time instead of 95%, throughput rose 3-7% and p99 fell from
+         5.2-5.7 to 3.3-3.5 ms, now the instances' own cost rather than
+         which instance happened to run ahead. *)
       {
         wire = Wire_bin.Json;
-        window = 2;
+        window = 1;
         routed = false;
         replay_timed = 1000;
         check_every = 8;
         rounds = Cycles Gen.cold_pool;
-        client_cpus = Some "0";
+        client_cpus = Some "1";
         server_cpus = Some "1";
       }
   | "routed-zipf" ->
@@ -134,19 +141,26 @@ type round = {
 }
 
 (* CPU placement on a 2-CPU host, chosen per workload from interleaved
-   runs. cold-sim: the client on CPU 0 and rvu serve on CPU 1; unpinned,
-   per-request CPU time moved by up to 2x from one serve process to the
-   next. routed-zipf: the client on CPU 0, the router and its workers on
-   both CPUs so the shards compute in parallel; an unpinned client moved
-   p50 by 13% between runs, a pinned one by 1%. warm-json: nothing
-   pinned; pinning client and server apart puts a cross-CPU wake-up on
-   every request and made it slower and noisier. *)
-let taskset =
+   runs. warm-json: the client on CPU 0 and rvu serve alone on CPU 1,
+   where it is busy about 90% of the time; both on one CPU cost two
+   context switches per request and moved throughput by 25% across
+   seeds where this placement moved it by 1%, and unpinned processes
+   let the host's vCPU stalls into p99. cold-sim: the client and rvu
+   serve both on CPU 1; the client is almost always idle, and with only
+   one busy vCPU p99 was lower and steadier than with the client on
+   CPU 0. routed-zipf: the client on CPU 0, the router and its workers
+   on both CPUs so the shards compute in parallel; an unpinned client
+   moved p50 by 13% between runs, a pinned one by 1%. *)
+let on_path name =
   List.find_map
     (fun dir ->
-      let f = Filename.concat dir "taskset" in
+      let f = Filename.concat dir name in
       if Sys.file_exists f then Some f else None)
     (String.split_on_char ':' (Option.value (Sys.getenv_opt "PATH") ~default:""))
+
+let taskset = on_path "taskset"
+let chrt = on_path "chrt"
+let setpriv = on_path "setpriv"
 
 (* Read before the client pins itself, which narrows what the runtime
    sees. *)
@@ -166,6 +180,37 @@ let pin_client cpus =
       let p = Proc.spawn [| t; "-a"; "-p"; "-c"; c; string_of_int (Unix.getpid ()) |] in
       if not (Proc.reap p) then failwith "taskset could not set the client's CPUs"
   | None -> ()
+
+(* A halted vCPU of this VM waits for the host to schedule it again when
+   a process on the other CPU wakes one on it, and under host load that
+   wait dominated warm-json: in four interleaved pairs of runs, throughput
+   fell to 10-12k/s and p99 rose to 9-11 ms without the loops below,
+   against 30-33k/s and 0.6-0.7 ms with them. So while a run measures,
+   a workload whose client and servers sit on different CPUs runs a
+   shell busy loop at SCHED_IDLE priority on each of those CPUs, as
+   idle=poll would: the CPU never halts, and any other process preempts
+   the loop as soon as it wakes. cold-sim, all on one CPU, wakes nothing
+   across CPUs, and a loop there raised its p99 in three of four pairs.
+   The loop gets SIGKILL when the benchmark dies, however it dies. *)
+let keep_busy cfg =
+  (* The CPUs in "0", "1" and "0-1", the lists placements use. *)
+  let cpus spec =
+    match List.map int_of_string (String.split_on_char '-' spec) with
+    | [ a; b ] -> List.init (b - a + 1) (fun i -> a + i)
+    | l -> l
+  in
+  match (taskset, chrt, setpriv) with
+  | Some t, Some c, Some s when nproc >= 2 && cfg.client_cpus <> cfg.server_cpus ->
+      List.concat_map cpus (List.filter_map Fun.id [ cfg.client_cpus; cfg.server_cpus ])
+      |> List.sort_uniq compare
+      |> List.map (fun cpu ->
+             let cpu = string_of_int cpu in
+             ( cpu,
+               Proc.spawn
+                 [|
+                   t; "-c"; cpu; c; "-i"; "0"; s; "--pdeathsig"; "KILL"; "sh"; "-c"; "while :; do :; done";
+                 |] ))
+  | _ -> []
 
 let argv_of cfg ports =
   let p = string_of_int in
@@ -324,6 +369,7 @@ let () =
     let ok = n - (!failed - failed0) in
     { setup_s; ok; lats = take_latencies (); wall; cpu; rss; before; after; warm; argv }
   in
+  let keepers = keep_busy cfg in
   let rounds =
     match cfg.rounds with
     | Slices n -> List.init n (fun _ -> round ())
@@ -336,6 +382,7 @@ let () =
         in
         go [] 0.0
   in
+  List.iter (fun (_, p) -> ignore (Proc.reap ~timeout_s:0.0 p)) keepers;
   let sent = !sent in
   (* Sampled output check, computed after the timed phase. *)
   List.iter
@@ -375,7 +422,10 @@ let () =
   (* Timings are per round (one set of serving processes) and the run
      reports their median over rounds, so one slow phase of the shared
      host moves one round, not the run. Every round has over a thousand
-     latency samples, so its p99 has ten or more beyond it. *)
+     latency samples, so its p99 has ten or more beyond it. Peak RSS is
+     no timing: it spreads over 20-24 MB from one serve process to the
+     next, so the run reports its mean over rounds, which a median would
+     flip between the ends of. *)
   let med f = Report.median (List.map f rounds) in
   let e2e =
     [
@@ -384,7 +434,7 @@ let () =
       ("latency_p50_ms", 1000.0 *. med (fun r -> Report.percentile r.lats 0.5), "ms");
       ("latency_p99_ms", 1000.0 *. med (fun r -> Report.percentile r.lats 0.99), "ms");
       ("alloc_words_per_req", d [ "runtime"; "minor_words" ] /. nreq, "words");
-      ("peak_rss_mb", med (fun r -> r.rss), "MB");
+      ("peak_rss_mb", sum (fun r -> r.rss) /. float_of_int (List.length rounds), "MB");
     ]
   in
   let routed_share =
@@ -455,6 +505,7 @@ let () =
               (fun (who, cpus) ->
                 (who, match pinned cpus with Some (_, c) -> Wire.String c | None -> Wire.Null))
               [ ("client", cfg.client_cpus); ("server", cfg.server_cpus) ]) );
+       ("cpus_kept_busy", Wire.List (List.map (fun (c, _) -> Wire.String c) keepers));
        ("rounds", Wire.Int (List.length rounds));
        ("host.calib_ms", Wire.Float calib_ms);
        ("stream_digest", Wire.String d1);
@@ -464,6 +515,10 @@ let () =
        ( "requests",
          Wire.Obj [ ("sent", Wire.Int sent); ("ok", Wire.Int ok); ("failed", Wire.Int failed_total) ] );
        ("latency_samples_each", Wire.List (List.map (fun r -> Wire.Int (Array.length r.lats)) rounds));
+       ( "p50_each",
+         Wire.List (List.map (fun r -> Wire.Float (1000.0 *. Report.percentile r.lats 0.5)) rounds) );
+       ( "p99_each",
+         Wire.List (List.map (fun r -> Wire.Float (1000.0 *. Report.percentile r.lats 0.99)) rounds) );
        ("checked_responses", Wire.Int checked);
        ("mismatches", Wire.Int !mismatches);
        ("sched.shed", Wire.Float shed);

@@ -153,7 +153,7 @@ let peak_rss_mb pid =
 
 (* Wait for our child to exit on its own (the client closed its only
    connection), up to [timeout_s]; kill it past that. Returns whether it
-   exited cleanly in time. *)
+   exited cleanly in time. [~timeout_s:0.0] kills at once. *)
 let reap ?(timeout_s = 20.0) p =
   let deadline = now () +. timeout_s in
   let rec wait () =
@@ -189,8 +189,12 @@ let kill_survivors pids =
   done;
   List.length survivors
 
-(* However the run ends, no process it started outlives it. *)
+(* However the run ends, no process it started outlives it: a SIGTERM or
+   SIGINT exits through the same at_exit cleanup. *)
 let () =
   at_exit (fun () ->
       let pids = List.map fst !started in
-      if List.exists alive pids then ignore (kill_survivors pids))
+      if List.exists alive pids then ignore (kill_survivors pids));
+  List.iter
+    (fun s -> Sys.set_signal s (Sys.Signal_handle (fun _ -> exit 2)))
+    [ Sys.sigterm; Sys.sigint ]
