@@ -166,7 +166,7 @@ let measure ~jobs ~log_file passes =
 let per_record_cost ~log_file =
   let n = 20_000 and reps = 5 in
   let best = ref Float.infinity in
-  Rvu_obs.Ctx.with_ctx "req-bench" (fun () ->
+  Rvu_obs.Ctx.with_ctx { cid = "req-bench"; span = None } (fun () ->
       for _ = 1 to reps do
         Log.configure ~level:Log.Info (Log.File log_file);
         let t0 = Util.now_s () in

@@ -152,7 +152,6 @@ let worker_endpoint ~bin i =
         [|
           bin; "serve"; "--tcp"; string_of_int port; "--jobs"; "1";
           "--cache-entries"; "256"; "--trace"; worker_trace_path i;
-          "--ctx-seed"; string_of_int (i + 1);
         |];
   }
 

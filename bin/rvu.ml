@@ -776,14 +776,11 @@ let config_term =
     const service_config $ service_jobs_arg $ queue_depth_arg
     $ cache_entries_arg $ timeout_arg $ max_request_bytes_arg)
 
-let resolve_host host =
-  try Unix.inet_addr_of_string host
-  with _ -> (
-    match Unix.gethostbyname host with
-    | { Unix.h_addr_list = addrs; _ } when Array.length addrs > 0 -> addrs.(0)
-    | _ | (exception Not_found) ->
-        Format.eprintf "rvu: cannot resolve host %S@." host;
-        exit 1)
+let resolve_or_exit host =
+  try Rvu_service.Server.resolve host
+  with Invalid_argument _ ->
+    Format.eprintf "rvu: cannot resolve host %S@." host;
+    exit 1
 
 let hostport_conv =
   let parse s =
@@ -857,7 +854,7 @@ let wire_arg ~doc =
     & info [ "wire" ] ~docv:"WIRE" ~doc)
 
 let serve config tcp_port host connections wire trace logging inject inject_seed
-    slow_ms ctx_seed =
+    slow_ms =
   (* A router-owned worker is stopped with SIGTERM, which would skip
      [at_exit] and lose the trace file's final flush — convert it to a
      clean exit while tracing so {!Rvu_obs.Trace.close} runs. Without
@@ -865,7 +862,10 @@ let serve config tcp_port host connections wire trace logging inject inject_seed
   (if trace <> None && Sys.os_type = "Unix" then
      try Sys.set_signal Sys.sigterm (Sys.Signal_handle (fun _ -> exit 0))
      with _ -> ());
-  Option.iter Rvu_obs.Ctx.set_seed ctx_seed;
+  (* Side-by-side servers (a router's workers, --connect shards) listen on
+     distinct ports: seeding the generated ids from the port keeps their
+     sequences apart. Stdio serve keeps the default, cram-pinned seed. *)
+  Option.iter Rvu_obs.Ctx.set_seed tcp_port;
   let config =
     {
       config with
@@ -893,7 +893,9 @@ let serve_cmd =
       & info [ "tcp" ] ~docv:"PORT"
           ~doc:
             "Listen on a TCP port instead of serving newline-delimited JSON \
-             over stdin/stdout.")
+             over stdin/stdout. Generated correlation ids (for requests \
+             without an id) are then seeded from $(docv), so processes \
+             listening side by side never share an id sequence.")
   in
   let host =
     Arg.(
@@ -928,16 +930,6 @@ let serve_cmd =
              past ring wrap-around, and a $(i,warn) log record with its \
              trace id.")
   in
-  let ctx_seed =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "ctx-seed" ] ~docv:"N"
-          ~doc:
-            "Reseed the correlation-id generator. The router passes each \
-             spawned worker a distinct seed so generated ids never collide \
-             across shards; the default seed keeps ids pinnable in tests.")
-  in
   Cmd.v
     (Cmd.info "serve"
        ~doc:
@@ -945,7 +937,7 @@ let serve_cmd =
           response per line out (see DESIGN.md for the protocol).")
     Term.(
       const serve $ config_term $ tcp $ host $ connections $ wire $ trace_arg
-      $ logging_term $ inject_arg $ inject_seed_arg $ slow_ms $ ctx_seed)
+      $ logging_term $ inject_arg $ inject_seed_arg $ slow_ms)
 
 (* Client-side binary shims: [Loadgen] itself is transport-agnostic and
    speaks JSON lines, so driving a binary connection means transcoding at
@@ -998,7 +990,7 @@ let loadgen_tcp lg ~host ~port ~rate ~connections ~wire =
   let socks =
     Array.init connections (fun _ ->
         let sock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-        (try Unix.connect sock (Unix.ADDR_INET (resolve_host host, port))
+        (try Unix.connect sock (Unix.ADDR_INET (resolve_or_exit host, port))
          with Unix.Unix_error (e, _, _) ->
            Format.eprintf "rvu: cannot connect to %s:%d: %s@." host port
              (Unix.error_message e);
@@ -1226,12 +1218,6 @@ let worker_argv ?worker_trace ~index config port inject inject_seed =
        string_of_int config.cache_entries;
        "--max-request-bytes";
        string_of_int config.max_request_bytes;
-       (* A distinct per-worker seed: default-seed workers would generate
-          the same correlation-id sequence on every shard, so a merged
-          trace or log aggregate would join unrelated requests. +1 keeps
-          shard 0 off the default sequence too. *)
-       "--ctx-seed";
-       string_of_int (index + 1);
      ]
     @ (match worker_trace with
       | Some prefix ->
@@ -1247,9 +1233,29 @@ let worker_argv ?worker_trace ~index config port inject inject_seed =
     @
     if inject = [] then [] else [ "--inject-seed"; string_of_int inject_seed ])
 
+(* SIGTERM and SIGINT end a long-running command through [stop] instead
+   of the default kill, which skips every cleanup. The OCaml handler may
+   run on any domain, so it only writes a byte to a pipe; a dedicated
+   domain blocked on the other end runs [stop], then exits (the [at_exit]
+   backstops close the trace file). *)
+let on_termination stop =
+  if Sys.os_type = "Unix" then begin
+    let r, w = Unix.pipe ~cloexec:true () in
+    let wake _ = ignore (Unix.write_substring w "x" 0 1) in
+    List.iter
+      (fun s -> Sys.set_signal s (Sys.Signal_handle wake))
+      [ Sys.sigterm; Sys.sigint ];
+    ignore
+      (Domain.spawn (fun () ->
+           ignore (Unix.read r (Bytes.create 1) 0 1);
+           stop ();
+           exit 0))
+  end
+
 let router config workers connect worker_base_port tcp_port host connections
     probe_interval_ms restart_backoff_ms route_timeout_ms wire trace logging
     inject inject_seed worker_trace =
+  Option.iter Rvu_obs.Ctx.set_seed tcp_port;
   with_trace trace @@ fun () ->
   with_logging logging @@ fun () ->
   let endpoints =
@@ -1291,11 +1297,19 @@ let router config workers connect worker_base_port tcp_port host connections
     }
   in
   let rt = Rvu_cluster.Router.create ~config:rconfig ~endpoints () in
-  Fun.protect
-    ~finally:(fun () ->
-      Rvu_cluster.Router.stop rt;
-      Rvu_obs.Runtime.stop ())
-  @@ fun () ->
+  (* Whichever of the signal watcher and the normal return gets here
+     second waits for the first to finish stopping. *)
+  let lock = Mutex.create () and stopped = ref false in
+  let stop () =
+    Mutex.protect lock (fun () ->
+        if not !stopped then begin
+          stopped := true;
+          Rvu_cluster.Router.stop rt;
+          Rvu_obs.Runtime.stop ()
+        end)
+  in
+  on_termination stop;
+  Fun.protect ~finally:stop @@ fun () ->
   match tcp_port with
   | Some port -> Rvu_cluster.Router.serve_tcp rt ~host ~port ?connections ()
   | None -> Rvu_cluster.Router.serve_channels rt stdin stdout
@@ -1335,7 +1349,9 @@ let router_cmd =
       & info [ "tcp" ] ~docv:"PORT"
           ~doc:
             "Listen on a TCP port instead of serving newline-delimited JSON \
-             over stdin/stdout.")
+             over stdin/stdout. Generated correlation ids (for requests \
+             without an id) are then seeded from $(docv), so processes \
+             listening side by side never share an id sequence.")
   in
   let host =
     Arg.(
@@ -1485,7 +1501,7 @@ let verify_cmd =
 
 let health connect =
   let host, port = connect in
-  let addr = Unix.ADDR_INET (resolve_host host, port) in
+  let addr = Unix.ADDR_INET (resolve_or_exit host, port) in
   (* The server may still be binding (smoke tests fork it just before the
      probe): retry the connection briefly before giving up. *)
   let rec connect_retry tries =

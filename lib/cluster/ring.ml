@@ -27,8 +27,8 @@ let fnv1a_parts parts =
 
 let score ~shard ~parts =
   let key_hash = fnv1a_parts parts in
-  let shard_hash = Rvu_obs.Fault.mix64 (Int64.of_int (shard + 1)) in
-  Rvu_obs.Fault.mix64 (Int64.logxor key_hash shard_hash)
+  let shard_hash = Rvu_obs.Splitmix.mix64 (Int64.of_int (shard + 1)) in
+  Rvu_obs.Splitmix.mix64 (Int64.logxor key_hash shard_hash)
 
 let pick ~live ~parts =
   let best = ref (-1) and best_score = ref 0L in

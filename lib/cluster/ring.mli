@@ -14,7 +14,7 @@
 
     The score is deterministic across runs and processes: FNV-1a over the
     key bytes, mixed with the shard index through the same SplitMix64
-    finaliser ({!Rvu_obs.Fault.mix64}) the fault injector uses. No state,
+    finaliser ({!Rvu_obs.Splitmix.mix64}) the fault injector uses. No state,
     no dependence on word size beyond 64-bit [Int64]. *)
 
 val score : shard:int -> parts:string list -> int64

@@ -68,13 +68,13 @@ type routed = {
   r_client : Wb.mode;
   r_id : Wire.t;
   r_id_bytes : string;
-  r_ctx : string;
+  r_ctx : Ctx.t;
+      (** the request context: the correlation id echoed to the client,
+          plus the root span context minted when tracing is on —
+          serialized into the forwarded frame's ["trace"] member and
+          stamped on the forward span; retries reuse it *)
   r_ctx_bytes : string;
   r_kind : string;
-  r_span : Trace.span_context option;
-      (** the root span context minted for this request when tracing is
-          on — serialized into the forwarded frame's ["trace"] member and
-          stamped on the forward span; retries reuse it *)
   r_t0 : float;
   r_retries : int;
   r_respond : string -> unit;
@@ -223,32 +223,25 @@ let write_conn t (c : conn) payload =
   | Wb.Binary -> Wb.output_frame c.oc payload);
   flush c.oc
 
-(* Close out a routed request's forward span: an 'X' complete event
-   (the span begins on the client connection's domain and resolves on
-   the shard reader's domain, so B/E pairs cannot pair up) stamped with
-   the request's span context {e explicitly} — no context is ambient on
-   the resolving domain. The shard's serve span is parented under this
-   span's id, which is the join [rvu trace-merge] re-parents on. *)
+(* Close out a routed request under its context: the forward-phase
+   observation (so the histogram's exemplar points at the trace that
+   produced the latency) and, with tracing on, the forward span — an 'X'
+   complete event, because the span begins on the client connection's
+   domain and resolves on the shard reader's, so B/E pairs cannot pair
+   up. The shard's serve span is parented under this span's id, which is
+   the join [rvu trace-merge] re-parents on. *)
 let finish_forward ?shard (r : routed) dt =
-  (* Observe under the routed span's context so the forward histogram's
-     exemplars point at the trace that produced the latency. *)
-  Trace.with_context_opt r.r_span (fun () -> Phase.observe "forward" dt);
-  match r.r_span with
-  | None -> ()
-  | Some sc ->
-      Trace.complete
-        ~args:
-          ([
-             ("kind", Wire.String r.r_kind);
-             ("ctx", Wire.String r.r_ctx);
-             ("trace_id", Wire.String sc.Trace.trace_id);
-             ("span_id", Wire.String sc.Trace.span_id);
-           ]
-          @
-          match shard with
-          | Some i -> [ ("shard", Wire.Int i) ]
-          | None -> [])
-        ~ts_us:(r.r_t0 *. 1e6) ~dur_us:(dt *. 1e6) "forward"
+  Ctx.with_ctx r.r_ctx (fun () ->
+      Phase.observe "forward" dt;
+      if r.r_ctx.span <> None then
+        Trace.complete
+          ~args:
+            (("kind", Wire.String r.r_kind)
+            ::
+            (match shard with
+            | Some i -> [ ("shard", Wire.Int i) ]
+            | None -> []))
+          ~ts_us:(r.r_t0 *. 1e6) ~dur_us:(dt *. 1e6) "forward")
 
 let rec dispatch t (r : routed) =
   match Ring.pick ~live:(live t) ~parts:r.r_parts with
@@ -283,7 +276,7 @@ and redispatch t (r : routed) =
     Metrics.incr t.m_retried;
     Log.warn
       ~fields:
-        [ ("ctx", Wire.String r.r_ctx); ("retries", Wire.Int r.r_retries) ]
+        [ ("ctx", Wire.String r.r_ctx.cid); ("retries", Wire.Int r.r_retries) ]
       "request rerouted";
     dispatch t r
   end
@@ -291,11 +284,12 @@ and redispatch t (r : routed) =
 and shed t (r : routed) reason =
   Metrics.incr t.m_shed;
   Log.warn
-    ~fields:[ ("ctx", Wire.String r.r_ctx); ("reason", Wire.String reason) ]
+    ~fields:[ ("ctx", Wire.String r.r_ctx.cid); ("reason", Wire.String reason) ]
     "request shed";
   r.r_respond
     (render_client r.r_client
-       (Proto.error_response ~ctx:r.r_ctx ~id:r.r_id Proto.Overloaded reason));
+       (Proto.error_response ~ctx:r.r_ctx.cid ~id:r.r_id Proto.Overloaded
+          reason));
   let dt = Clock.now_s () -. r.r_t0 in
   Metrics.observe t.m_latency dt;
   finish_forward r dt;
@@ -342,7 +336,7 @@ let substitute_envelope w (r : routed) =
            (fun (k, v) ->
              match k with
              | "id" -> (k, r.r_id)
-             | "ctx" -> (k, Wire.String r.r_ctx)
+             | "ctx" -> (k, Wire.String r.r_ctx.cid)
              | _ -> (k, v))
            fields)
   | w -> w
@@ -395,7 +389,7 @@ let handle_shard_line t (sh : shard) line =
                 | Ok w -> Wb.encode (substitute_envelope w r)
                 | Error _ ->
                     Wb.encode
-                      (Proto.error_response ~ctx:r.r_ctx ~id:r.r_id
+                      (Proto.error_response ~ctx:r.r_ctx.cid ~id:r.r_id
                          Proto.Internal "unreadable shard response")) )
     | None -> (
         match Lazy.force parsed with
@@ -427,7 +421,7 @@ let handle_shard_frame t (sh : shard) payload =
                 | Ok w -> Wire.print (substitute_envelope w r)
                 | Error _ ->
                     Wire.print
-                      (Proto.error_response ~ctx:r.r_ctx ~id:r.r_id
+                      (Proto.error_response ~ctx:r.r_ctx.cid ~id:r.r_id
                          Proto.Internal "unreadable shard response")) )
     | None -> (
         match Lazy.force parsed with
@@ -612,7 +606,7 @@ let attempt_connect t (sh : shard) ~initial =
   match
     Unix.connect sock
       (Unix.ADDR_INET
-         (Rvu_service.Server.resolve_host sh.endpoint.host, sh.endpoint.port))
+         (Rvu_service.Server.resolve sh.endpoint.host, sh.endpoint.port))
   with
   | exception _ ->
       (try Unix.close sock with _ -> ());
@@ -711,7 +705,8 @@ let supervisor_loop t =
             match p with
             | Routed r ->
                 Log.warn
-                  ~fields:(shard_fields sh @ [ ("ctx", Wire.String r.r_ctx) ])
+                  ~fields:
+                    (shard_fields sh @ [ ("ctx", Wire.String r.r_ctx.cid) ])
                   "request timed out on shard";
                 redispatch t { r with r_retries = r.r_retries + 1 }
             | Internal i -> i.deliver None)
@@ -937,8 +932,10 @@ let route_parsed t ~client ~bytes w ~respond =
              a traceparent into the forwarded frame. The shard serves
              under a child of it, so router and shard spans share one
              trace id. Minted once; retries reuse it. *)
-          let span = if Trace.enabled () then Some (Trace.new_root ()) else None in
-          let trace = Option.map Trace.to_traceparent span in
+          let span =
+            if Trace.enabled () then Some (Ctx.new_root ()) else None
+          in
+          let trace = Option.map Ctx.to_traceparent span in
           let shard_bytes =
             if client = t.config.wire then bytes
             else
@@ -978,10 +975,9 @@ let route_parsed t ~client ~bytes w ~respond =
               r_client = client;
               r_id = id;
               r_id_bytes = id_bytes;
-              r_ctx = ctx;
+              r_ctx = { cid = ctx; span };
               r_ctx_bytes = ctx_bytes;
               r_kind = kind;
-              r_span = span;
               r_t0 = Clock.now_s ();
               r_retries = 0;
               r_respond = respond;
@@ -1047,38 +1043,13 @@ let handle_payload t payload ~respond =
           ~id:Wire.Null Proto.Invalid_request
           (Printf.sprintf "expected a request object, got %s" (Wire.kind_name v))
 
-let await handle t input =
-  let result = ref None in
-  let m = Mutex.create () in
-  let c = Condition.create () in
-  handle t input ~respond:(fun resp ->
-      Mutex.lock m;
-      result := Some resp;
-      Condition.signal c;
-      Mutex.unlock m);
-  Mutex.lock m;
-  while !result = None do
-    Condition.wait c m
-  done;
-  Mutex.unlock m;
-  Option.get !result
+let handle_sync t line = Rvu_service.Server.await (handle_line t line)
 
-let handle_sync t line = await handle_line t line
-let handle_payload_sync t payload = await handle_payload t payload
+let handle_payload_sync t payload =
+  Rvu_service.Server.await (handle_payload t payload)
 
 (* ------------------------------------------------------------------ *)
 (* Transports *)
-
-(* The first record on a connection may be a transport-negotiation hello;
-   the router answers it itself (it owns the client connection — shards
-   only ever see evaluation traffic). *)
-let hello_env line =
-  match Wire.parse line with
-  | Ok w -> (
-      match Proto.request_of_wire w with
-      | Ok ({ Proto.request = Proto.Hello m; _ } as env) -> Some (env, m)
-      | _ -> None)
-  | Error _ -> None
 
 let serve_channels t ic oc =
   let out_lock = Mutex.create () in
@@ -1119,7 +1090,13 @@ let serve_channels t ic oc =
                if String.trim line <> "" then begin
                  let was_first = !first in
                  first := false;
-                 match if was_first then hello_env line else None with
+                 (* A first-record hello is answered here (the router
+                    owns the client connection — shards only ever see
+                    evaluation traffic). *)
+                 match
+                   if was_first then Rvu_service.Server.hello_env line
+                   else None
+                 with
                  | Some (env, m) -> negotiate env m
                  | None -> handle_line t line ~respond
                end)
@@ -1153,29 +1130,32 @@ let serve_tcp t ~host ~port ?connections () =
   | _ -> ());
   let sock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
   Unix.setsockopt sock Unix.SO_REUSEADDR true;
-  Unix.bind sock (Unix.ADDR_INET (Rvu_service.Server.resolve_host host, port));
+  Unix.bind sock (Unix.ADDR_INET (Rvu_service.Server.resolve host, port));
   Unix.listen sock 64;
   Printf.eprintf "rvu router: listening on %s:%d\n%!" host port;
   let sessions = ref [] in
   let rec loop remaining =
-    if remaining <> Some 0 then begin
-      let fd, _peer = Unix.accept sock in
-      let d =
-        Domain.spawn (fun () ->
-            let ic = Unix.in_channel_of_descr fd in
-            let oc = Unix.out_channel_of_descr fd in
-            Log.debug "router connection accepted";
-            (try serve_channels t ic oc
-             with e ->
-               Log.error
-                 ~fields:[ ("exn", Wire.String (Printexc.to_string e)) ]
-                 "router connection error");
-            Log.debug "router connection closed";
-            close_out_noerr oc)
-      in
-      sessions := d :: !sessions;
-      loop (Option.map (fun n -> n - 1) remaining)
-    end
+    if remaining <> Some 0 then
+      match Unix.accept sock with
+      | exception Unix.Unix_error (Unix.EINTR, _, _) ->
+          (* A signal landed on this thread; its handler decides. *)
+          loop remaining
+      | fd, _peer ->
+          let d =
+            Domain.spawn (fun () ->
+                let ic = Unix.in_channel_of_descr fd in
+                let oc = Unix.out_channel_of_descr fd in
+                Log.debug "router connection accepted";
+                (try serve_channels t ic oc
+                 with e ->
+                   Log.error
+                     ~fields:[ ("exn", Wire.String (Printexc.to_string e)) ]
+                     "router connection error");
+                Log.debug "router connection closed";
+                close_out_noerr oc)
+          in
+          sessions := d :: !sessions;
+          loop (Option.map (fun n -> n - 1) remaining)
   in
   loop connections;
   List.iter Domain.join !sessions;

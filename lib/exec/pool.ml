@@ -59,10 +59,8 @@ module Persistent = struct
   type t = {
     lock : Mutex.t;
     work : Condition.t;
-    queue :
-      (string option * Rvu_obs.Trace.span_context option * (unit -> unit))
-      Queue.t;
-        (* (correlation id, span context, task) *)
+    queue : (Rvu_obs.Ctx.t option * (unit -> unit)) Queue.t;
+        (* (the submitter's request context, task) *)
     mutable stopped : bool;
     mutable workers : unit Domain.t list;
     jobs : int;
@@ -105,13 +103,13 @@ module Persistent = struct
       Mutex.lock t.lock;
       match next () with
       | None -> Mutex.unlock t.lock
-      | Some (ctx, span, task) ->
+      | Some (ctx, task) ->
           Mutex.unlock t.lock;
           (* Tasks own their error handling; a raising task must not take
-             the worker domain down with it. The submitter's correlation
-             id and span context are re-installed on this domain for the
-             task's extent so logs, trace spans and exemplars from inside
-             it stay correlated. *)
+             the worker domain down with it. The submitter's request
+             context is re-installed on this domain for the task's extent
+             so logs, trace spans and exemplars from inside it stay
+             correlated. *)
           let t0 = Rvu_obs.Clock.now_s () in
           let run () =
             try
@@ -124,10 +122,9 @@ module Persistent = struct
                   [ ("exn", Rvu_obs.Wire.String (Printexc.to_string e)) ]
                 "pool task raised"
           in
-          let run () = Rvu_obs.Trace.with_context_opt span run in
           (match ctx with
           | None -> run ()
-          | Some cid -> Rvu_obs.Ctx.with_ctx cid run);
+          | Some c -> Rvu_obs.Ctx.with_ctx c run);
           Rvu_obs.Metrics.observe m_task_wall (Rvu_obs.Clock.now_s () -. t0);
           loop ()
     in
@@ -151,13 +148,14 @@ module Persistent = struct
 
   let jobs t = t.jobs
 
-  let submit ?ctx ?span t task =
+  let submit t task =
+    let ctx = Rvu_obs.Ctx.current () in
     Mutex.lock t.lock;
     if t.stopped then begin
       Mutex.unlock t.lock;
       invalid_arg "Pool.Persistent.submit: executor is stopped"
     end;
-    Queue.push (ctx, span, task) t.queue;
+    Queue.push (ctx, task) t.queue;
     Rvu_obs.Metrics.gauge_add m_queue_depth 1.0;
     Condition.signal t.work;
     Mutex.unlock t.lock

@@ -51,20 +51,15 @@ module Persistent : sig
   val jobs : t -> int
   (** The worker count the pool was started with (after clamping). *)
 
-  val submit :
-    ?ctx:string ->
-    ?span:Rvu_obs.Trace.span_context ->
-    t ->
-    (unit -> unit) ->
-    unit
+  val submit : t -> (unit -> unit) -> unit
   (** Enqueue a task. The queue is unbounded — admission control (shedding
       past a depth limit) belongs to the layer above, which can count
-      in-flight tasks. [ctx] is a {!Rvu_obs.Ctx} correlation id and [span]
-      a {!Rvu_obs.Trace} span context to install on the worker domain for
-      the task's extent, so log records, trace spans and exemplars emitted
-      inside the task stay correlated with the submitting request; an
-      uncaught task exception is logged at [error] level under that id.
-      Raises [Invalid_argument] after {!stop}. *)
+      in-flight tasks. The submitter's ambient {!Rvu_obs.Ctx} context is
+      captured here and installed on the worker domain for the task's
+      extent, so log records, trace spans and exemplars emitted inside the
+      task stay correlated with the submitting request; an uncaught task
+      exception is logged at [error] level under that context. Raises
+      [Invalid_argument] after {!stop}. *)
 
   val stop : t -> unit
   (** Drain: no new tasks are accepted, already-queued tasks still run,

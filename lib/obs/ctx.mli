@@ -1,47 +1,77 @@
-(** Per-request correlation ids.
+(** The request context: one ambient value per domain naming the request
+    being served.
 
-    A correlation id (a short string such as ["req-42"] or ["c1b2…"]) names
-    one request as it moves through the stack: [Server] derives it from the
-    wire envelope, [Sched] carries it into the worker pool, and every
-    {!Log} record, {!Trace} span and wire response emitted while it is in
-    scope is stamped with it — so one grep links a log line, a trace lane
-    and a response.
+    A context pairs a correlation id — ["req-<id>"] derived from the wire
+    envelope, or a generated ["c<hex>"] when the envelope has none — with
+    an optional W3C-shaped span context that tracing propagates across
+    processes. [Server] installs it once per request and
+    [Pool.Persistent.submit] carries the submitter's context to the worker
+    domain. Everything emitted while it is installed reads this one slot:
+    {!Log} records carry the id as ["ctx"], {!Trace} events carry the id
+    and the span ids, registry {!Metrics} histograms take the trace id as
+    their exemplar, and the response envelope echoes the id — so one grep
+    joins a log line, a trace lane, a metric exemplar and a response.
 
-    The ambient id is domain-local ([Domain.DLS]): {!with_ctx} installs it
-    for the dynamic extent of a callback on the calling domain, and crossing
-    a domain boundary (e.g. handing a task to [Pool.Persistent]) requires
-    passing the id explicitly and re-installing it on the worker — which is
-    exactly what the service stack does. *)
+    The slot is domain-local ([Domain.DLS]): {!with_ctx} installs a
+    context on the calling domain only, for the dynamic extent of a
+    callback. *)
 
-val of_id : Wire.t -> string option
-(** [of_id id] derives a correlation id from a request envelope [id]:
-    [Some "req-<n>"] for [Int n], [Some "req-<s>"] for [String s], [None]
-    for other shapes (including [Null]). *)
+type span = {
+  trace_id : string;  (** 32 lowercase hex chars *)
+  span_id : string;  (** 16 lowercase hex chars *)
+  parent_id : string option;  (** parent span, [None] at a trace root *)
+}
+
+type t = {
+  cid : string;  (** the correlation id *)
+  span : span option;  (** the span context; [None] with tracing off *)
+}
+
+val with_ctx : t -> (unit -> 'a) -> 'a
+(** [with_ctx c f] runs [f] with [c] as the ambient context on this
+    domain, restoring the previous one (if any) afterwards, exceptions
+    included. *)
+
+val current : unit -> t option
+(** The context installed by the innermost {!with_ctx} on this domain. *)
+
+(** {1 Correlation ids} *)
 
 val derive : Wire.t -> string
-(** [of_id id], falling back to {!generate} when the envelope id has no
-    usable shape. *)
+(** The correlation id for a request envelope id: ["req-<n>"] for
+    [Int n], ["req-<s>"] for [String s], a {!generate}d id for any other
+    shape (including [Null]). *)
 
 val generate : unit -> string
-(** A fresh id ["c<16 hex digits>"] from the seeded SplitMix64 stream
-    ({!Fault.mix64} of seed + a process-global counter). With the default
-    seed the sequence is identical in every process, which keeps ids
-    pinnable in cram tests; call {!set_seed} to decorrelate. The router
-    relies on this: every spawned worker is passed a distinct
-    [--ctx-seed] (its shard index), because workers left on the default
-    seed would generate {e colliding} ids across shards — identical
-    [c<hex>] strings naming different requests in a merged log or
-    trace. Tests that want pinnable worker ids pass an explicit seed and
-    get a deterministic, per-seed sequence. *)
+(** A fresh id ["c<16 hex digits>"]: the next output of a process-global
+    SplitMix64 stream. Under the default seed the sequence is identical
+    in every process, which keeps ids pinnable in cram tests. Processes
+    that run side by side must not share a sequence — identical [c<hex>]
+    strings would name different requests in a merged log or trace — so
+    [rvu serve --tcp P] and [rvu router --tcp P] call [set_seed P]:
+    ports are distinct per host, which separates spawned workers and
+    [--connect] shards alike. *)
 
 val set_seed : int -> unit
-(** Reseed the generator and reset its counter. *)
+(** Reseed the correlation-id stream and reset its counter. *)
 
-val with_ctx : string -> (unit -> 'a) -> 'a
-(** [with_ctx cid f] runs [f] with [cid] as the ambient correlation id on
-    this domain, restoring the previous ambient id (if any) afterwards,
-    exceptions included. *)
+(** {1 Span contexts} *)
 
-val current : unit -> string option
-(** The ambient correlation id installed by the innermost {!with_ctx} on
-    this domain, if any. *)
+val new_root : unit -> span
+(** A fresh trace: new trace id, new span id, no parent. Span ids come
+    from their own stream, seeded from the pid and the monotonic clock so
+    that processes started together never collide; tracing therefore
+    never shifts the {!generate} sequence. *)
+
+val child_of : span -> span
+(** Same trace id, fresh span id, parented under [parent]'s span. *)
+
+val to_traceparent : span -> string
+(** ["00-<trace_id>-<span_id>-01"] — the W3C traceparent rendering
+    carried in the wire frames' ["trace"] member. *)
+
+val of_traceparent : string -> span option
+(** Parse a traceparent string. [None] on anything malformed (wrong
+    length, non-hex, all-zero ids) — per the W3C rule, a bad context is
+    discarded, never an error. The result's [span_id] is the {e sender's}
+    span; serve under {!child_of} of it. *)

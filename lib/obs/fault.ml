@@ -47,17 +47,6 @@ let site site_name =
           Hashtbl.add registry site_name s;
           s)
 
-(* SplitMix64 finaliser: the firing decision for call [n] at a site is the
-   hash of (seed, site name, n) — deterministic regardless of how calls
-   interleave across domains. *)
-let mix z =
-  let open Int64 in
-  let z = mul (logxor z (shift_right_logical z 30)) 0xbf58476d1ce4e5b9L in
-  let z = mul (logxor z (shift_right_logical z 27)) 0x94d049bb133111ebL in
-  logxor z (shift_right_logical z 31)
-
-let mix64 = mix
-
 let string_hash s =
   (* FNV-1a folded into 64 bits; stable across runs (unlike Hashtbl.hash
      seeded builds, this is ours to keep fixed). *)
@@ -73,10 +62,13 @@ let unit_float bits =
   (* Top 53 bits to a uniform in [0, 1), as Rng.float does. *)
   Int64.to_float (Int64.shift_right_logical bits 11) *. 0x1p-53
 
+(* The firing decision for call [n] at a site is the SplitMix64 hash of
+   (seed, site name, n) — deterministic regardless of how calls
+   interleave across domains. *)
 let decide s n =
   let seed = Atomic.get seed_state in
-  let h = mix (Int64.add seed (string_hash s.site_name)) in
-  let h = mix (Int64.add h (Int64.of_int n)) in
+  let h = Splitmix.mix64 (Int64.add seed (string_hash s.site_name)) in
+  let h = Splitmix.mix64 (Int64.add h (Int64.of_int n)) in
   unit_float h
 
 (* Injection listeners: consulted only when a site actually fires, so the
@@ -127,7 +119,7 @@ let arm ~seed probs =
           Atomic.set s.calls 0;
           Atomic.set s.injected 0)
         registry;
-      Atomic.set seed_state (mix (Int64.of_int seed));
+      Atomic.set seed_state (Splitmix.mix64 (Int64.of_int seed));
       Atomic.set switch true)
 
 let disarm () = Atomic.set switch false

@@ -66,11 +66,6 @@ val on_injection : (string -> unit) -> unit
     exception they raise is swallowed. {!Log} uses this to dump its
     flight recorder when an armed site fires. *)
 
-val mix64 : int64 -> int64
-(** The SplitMix64 finaliser used for firing decisions, exported so other
-    observability layers ({!Ctx} correlation ids) can derive deterministic
-    pseudo-random values without a second generator. *)
-
 val armed : unit -> bool
 
 val injected_count : site -> int

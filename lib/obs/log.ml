@@ -63,7 +63,7 @@ let render lvl fields msg =
   in
   let ctx =
     match Ctx.current () with
-    | Some c -> [ ("ctx", Wire.String c) ]
+    | Some c -> [ ("ctx", Wire.String c.Ctx.cid) ]
     | None -> []
   in
   Wire.print

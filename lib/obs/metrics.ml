@@ -30,15 +30,6 @@ let switch = Atomic.make true
 let set_enabled b = Atomic.set switch b
 let enabled () = Atomic.get switch
 
-(* The exemplar source is injected (by Trace, whose module initializer
-   installs the ambient trace id lookup) rather than referenced directly:
-   Metrics sits below Ctx and Trace in the obs dependency order and must
-   not depend on either. The default source reports no trace, so
-   exemplars cost one closure call per named-histogram observation until
-   something installs a real source. *)
-let exemplar_source : (unit -> string option) ref = ref (fun () -> None)
-let set_exemplar_source f = exemplar_source := f
-
 (* ------------------------------------------------------------------ *)
 (* Registry *)
 
@@ -205,14 +196,14 @@ let observe h x =
         in
         buf.(h.n_samples) <- x;
         h.n_samples <- h.n_samples + 1);
-    (* Registry histograms attach the ambient trace id (if any) as an
-       OpenMetrics exemplar — last writer per bucket wins, which is the
-       conventional "most recent exemplar" policy. Private histograms
-       (empty identity) are measurement state and take none. *)
+    (* Registry histograms attach the ambient request context's trace id
+       (if any) as an OpenMetrics exemplar — last writer per bucket wins,
+       which is the conventional "most recent exemplar" policy. Private
+       histograms (empty identity) are measurement state and take none. *)
     (if fst h.h_ident <> "" then
-       match !exemplar_source () with
-       | None -> ()
-       | Some trace_id ->
+       match Ctx.current () with
+       | None | Some { Ctx.span = None; _ } -> ()
+       | Some { Ctx.span = Some { Ctx.trace_id; _ }; _ } ->
            let arr =
              match h.h_exemplars with
              | Some a -> a

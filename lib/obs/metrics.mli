@@ -85,16 +85,10 @@ val gauge_add : gauge -> float -> unit
 
 val observe : histogram -> float -> unit
 (** Record one sample. Samples are expected non-negative (durations,
-    sizes); negative samples land in the first bucket. If the installed
-    {!set_exemplar_source} reports an ambient trace id, the observation
-    is also retained as that bucket's exemplar (latest wins). *)
-
-val set_exemplar_source : (unit -> string option) -> unit
-(** Install the ambient-trace-id lookup used to attach exemplars to
-    histogram observations. Called once per registry-histogram [observe];
-    return [None] (the default source always does) to attach nothing.
-    [Rvu_obs.Trace] installs the real source at module initialization —
-    this hook exists because Metrics must not depend on Trace. *)
+    sizes); negative samples land in the first bucket. If the ambient
+    {!Ctx} context carries a span context, a registry histogram also
+    retains the observation as that bucket's exemplar under its trace id
+    (latest wins). *)
 
 (** {1 Reading} *)
 
@@ -122,7 +116,7 @@ val exact_quantile : histogram -> float -> float
 val exemplars : histogram -> (float * string * float) list
 (** The latest exemplar per bucket, bucket-ascending, as
     [(observed value, trace id, unix timestamp)] — empty until an
-    observation lands while the exemplar source reports a trace id. *)
+    observation lands while a context with a span context is ambient. *)
 
 (** {1 Exposition} *)
 

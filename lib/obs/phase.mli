@@ -16,7 +16,7 @@
     phases does not reproduce end-to-end latency. Handles are memoized
     per label, so an observation site costs a hash lookup, not a
     registry registration. Observations attach exemplars like any other
-    registry histogram (see {!Metrics.set_exemplar_source}). *)
+    registry histogram (see {!Metrics.observe}). *)
 
 val seconds : string -> Metrics.histogram
 (** The [rvu_phase_seconds{phase=…}] histogram for this phase label. *)

@@ -20,96 +20,6 @@ type sink = {
 type span = Disabled | Span of { name : string }
 
 (* ------------------------------------------------------------------ *)
-(* Span context *)
-
-type span_context = {
-  trace_id : string; (* 32 lowercase hex chars *)
-  span_id : string; (* 16 lowercase hex chars *)
-  parent_id : string option; (* 16 lowercase hex chars *)
-}
-
-(* Trace/span ids come from their own SplitMix64 stream, separate from
-   [Ctx.generate]'s: the ctx sequence is cram-pinned under the default
-   seed and must not shift when tracing allocates ids. The seed mixes in
-   the pid and the monotonic clock so concurrently started processes
-   (router + spawned shards) never collide on span ids — nothing pins
-   trace ids, so nondeterminism is free here. *)
-let gamma = 0x9e3779b97f4a7c15L
-
-let id_seed =
-  Fault.mix64
-    (Int64.logxor 0x7472616365_1d5eedL
-       (Int64.logxor (Int64.of_int (Unix.getpid ())) (Clock.now_ns ())))
-
-let id_counter = Atomic.make 0
-
-let next_id64 () =
-  let n = Atomic.fetch_and_add id_counter 1 in
-  Fault.mix64 (Int64.add id_seed (Int64.mul (Int64.of_int (n + 1)) gamma))
-
-let hex16 v = Printf.sprintf "%016Lx" v
-let gen_span_id () = hex16 (next_id64 ())
-let gen_trace_id () = hex16 (next_id64 ()) ^ hex16 (next_id64 ())
-
-let context_key : span_context option Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> None)
-
-let current_context () = Domain.DLS.get context_key
-
-let with_context sc f =
-  let prev = Domain.DLS.get context_key in
-  Domain.DLS.set context_key (Some sc);
-  Fun.protect ~finally:(fun () -> Domain.DLS.set context_key prev) f
-
-let with_context_opt sc f =
-  match sc with None -> f () | Some sc -> with_context sc f
-
-let new_root () =
-  { trace_id = gen_trace_id (); span_id = gen_span_id (); parent_id = None }
-
-let child_of p =
-  { trace_id = p.trace_id; span_id = gen_span_id (); parent_id = Some p.span_id }
-
-let to_traceparent sc = Printf.sprintf "00-%s-%s-01" sc.trace_id sc.span_id
-
-(* W3C traceparent: version "00", then 32 hex trace id, 16 hex parent
-   (span) id, 2 hex flags, dash-separated — 55 bytes. Anything else is
-   ignored (the spec's behaviour for malformed headers), never an error:
-   a bad trace member must not fail the request that carries it. *)
-let of_traceparent s =
-  let is_hex c = (c >= '0' && c <= '9') || (c >= 'a' && c <= 'f') in
-  let hex_at pos len =
-    let ok = ref true in
-    for i = pos to pos + len - 1 do
-      if not (is_hex s.[i]) then ok := false
-    done;
-    !ok
-  in
-  if
-    String.length s = 55
-    && s.[0] = '0' && s.[1] = '0' && s.[2] = '-' && s.[35] = '-'
-    && s.[52] = '-' && hex_at 3 32 && hex_at 36 16 && hex_at 53 2
-    && String.sub s 3 32 <> String.make 32 '0'
-    && String.sub s 36 16 <> String.make 16 '0'
-  then
-    Some
-      {
-        trace_id = String.sub s 3 32;
-        span_id = String.sub s 36 16;
-        parent_id = None;
-      }
-  else None
-
-(* The exemplar hook: Metrics cannot depend on Trace (it sits below Ctx
-   in the obs stack), so the ambient-trace-id lookup is injected here at
-   module initialization. *)
-let () =
-  Metrics.set_exemplar_source (fun () ->
-      match Domain.DLS.get context_key with
-      | Some sc -> Some sc.trace_id
-      | None -> None)
-
-(* ------------------------------------------------------------------ *)
 (* Recording *)
 
 (* A single atomic holds the whole tracer state: the enabled check on
@@ -139,32 +49,29 @@ let record ~name ~ph ~ts ~dur ~tid args =
 
 let tid () = (Domain.self () :> int)
 
-(* Spans opened while a request's correlation id is ambient carry it as a
-   ["ctx"] arg, so a log grep and a trace lane meet on the same string.
-   Likewise the ambient span context stamps trace_id/span_id/parent_id,
-   which is what the trace stitcher and the exemplars key on. Only
-   consulted when tracing is on — the disabled path is unchanged. *)
-let stamp_ctx args =
-  if List.mem_assoc "ctx" args then args
-  else
-    match Ctx.current () with
-    | Some cid -> args @ [ ("ctx", Wire.String cid) ]
-    | None -> args
-
+(* Events recorded while a request context is ambient carry its
+   correlation id as a ["ctx"] arg, so a log grep and a trace lane meet on
+   the same string, and its span context as trace_id/span_id/parent_id,
+   which is what the trace stitcher joins on. Only consulted when tracing
+   is on — the disabled path is unchanged. *)
 let stamp args =
-  let args = stamp_ctx args in
-  if List.mem_assoc "trace_id" args then args
-  else
-    match Domain.DLS.get context_key with
-    | None -> args
-    | Some sc ->
-        args
-        @ ("trace_id", Wire.String sc.trace_id)
-          :: ("span_id", Wire.String sc.span_id)
-          ::
-          (match sc.parent_id with
-          | None -> []
-          | Some p -> [ ("parent_id", Wire.String p) ])
+  match Ctx.current () with
+  | None -> args
+  | Some c -> (
+      let args =
+        if List.mem_assoc "ctx" args then args
+        else args @ [ ("ctx", Wire.String c.Ctx.cid) ]
+      in
+      match c.Ctx.span with
+      | Some sc when not (List.mem_assoc "trace_id" args) ->
+          args
+          @ ("trace_id", Wire.String sc.Ctx.trace_id)
+            :: ("span_id", Wire.String sc.Ctx.span_id)
+            ::
+            (match sc.Ctx.parent_id with
+            | None -> []
+            | Some p -> [ ("parent_id", Wire.String p) ])
+      | _ -> args)
 
 let begin_span ?(args = []) name =
   if Atomic.get sink = None then Disabled

@@ -20,25 +20,13 @@
     mirrored into the [rvu_trace_dropped_total] counter; {!retain}
     exempts a slow request's events from the drop.
 
-    {b Span context.} Distributed tracing threads a W3C-shaped context —
-    a 32-hex trace id, a 16-hex span id, an optional 16-hex parent id —
-    through the cluster: the router mints a root context per routed
-    request, serializes it as a [traceparent] string into the frame's
-    ["trace"] member, and the shard parses it back and serves under a
-    child context. Every event recorded while a context is ambient
-    (installed with {!with_context}) is stamped with
-    [trace_id]/[span_id]/[parent_id] args, which is what
-    [rvu trace-merge] joins on and what histogram exemplars record.
-    Context ids come from their own id stream: enabling tracing never
-    shifts the cram-pinned {!Ctx.generate} sequence. *)
+    {b Request context.} Every event recorded while a {!Ctx} context is
+    ambient is stamped with its correlation id (["ctx"]) and, when it
+    carries a span context, with [trace_id]/[span_id]/[parent_id] args —
+    which is what [rvu trace-merge] joins on. An explicit arg of the same
+    name wins over the stamp. *)
 
 type span
-
-type span_context = {
-  trace_id : string;  (** 32 lowercase hex chars *)
-  span_id : string;  (** 16 lowercase hex chars *)
-  parent_id : string option;  (** parent span, [None] at a trace root *)
-}
 
 val enabled : unit -> bool
 
@@ -79,35 +67,6 @@ val complete :
     spans that start on one domain and resolve on another (the router's
     forward span) and for externally timed intervals (GC pauses).
     [tid] defaults to the recording domain's id. *)
-
-(** {1 Span context} *)
-
-val new_root : unit -> span_context
-(** A fresh trace: new trace id, new span id, no parent. *)
-
-val child_of : span_context -> span_context
-(** Same trace id, fresh span id, parented under [parent]'s span. *)
-
-val current_context : unit -> span_context option
-(** The ambient context on this domain, if any. *)
-
-val with_context : span_context -> (unit -> 'a) -> 'a
-(** Install [sc] as the ambient context for the extent of [f] (previous
-    context restored on exit, even on raise). Domain-local, like
-    {!Ctx.with_ctx}. *)
-
-val with_context_opt : span_context option -> (unit -> 'a) -> 'a
-(** [with_context] when [Some], plain [f ()] when [None]. *)
-
-val to_traceparent : span_context -> string
-(** ["00-<trace_id>-<span_id>-01"] — the W3C traceparent rendering
-    carried in the wire frames' ["trace"] member. *)
-
-val of_traceparent : string -> span_context option
-(** Parse a traceparent string. [None] on anything malformed (wrong
-    length, non-hex, all-zero ids) — per the W3C rule, a bad context is
-    discarded, never an error. The result's [span_id] is the {e sender's}
-    span; serve under {!child_of} of it. *)
 
 val retain : trace_id:string -> unit
 (** Copy every event currently in the ring stamped with this trace id

@@ -237,7 +237,7 @@ let note_response t line =
                  warn record joins the server's own logs for the same
                  request. *)
               Rvu_obs.Ctx.with_ctx
-                ("req-" ^ string_of_int id)
+                { cid = "req-" ^ string_of_int id; span = None }
                 (fun () ->
                   Rvu_obs.Log.warn
                     ~fields:

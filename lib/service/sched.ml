@@ -23,11 +23,6 @@ let m_timeout =
     ~help:"Requests that timed out waiting for a worker"
     "rvu_sched_timeout_total"
 
-let m_queue_wait =
-  Rvu_obs.Metrics.histogram
-    ~help:"Seconds between admission and worker pickup"
-    "rvu_sched_queue_wait_seconds"
-
 (* Injection points (Rvu_obs.Fault, disarmed in production): forced shed
    and forced timeout take the existing degraded paths; handler.crash
    raises inside the handler's try scope to prove arbitrary handler
@@ -59,7 +54,7 @@ let now () = Unix.gettimeofday ()
 
 let in_flight t = Atomic.get t.in_flight
 
-let submit ?ctx t (env : Proto.envelope) ~k =
+let submit t (env : Proto.envelope) ~k =
   let key = Proto.canonical_key env.Proto.request in
   let shed () =
     Rvu_obs.Metrics.incr m_shed;
@@ -106,14 +101,12 @@ let submit ?ctx t (env : Proto.envelope) ~k =
               "request exceeded its queue-wait budget before a worker picked \
                it up" )
         in
-        (* The worker re-installs [ctx] and the ambient span context
-           (Pool.Persistent does both), so logs, trace spans and
-           exemplars from the handler carry the request's identity. *)
-        let span = Rvu_obs.Trace.current_context () in
-        Rvu_exec.Pool.Persistent.submit ?ctx ?span t.pool (fun () ->
-            let wait = Rvu_obs.Clock.now_s () -. admitted_at in
-            Rvu_obs.Metrics.observe m_queue_wait wait;
-            Rvu_obs.Phase.observe "queue" wait;
+        (* Pool.Persistent carries the ambient request context to the
+           worker, so logs, trace spans and exemplars from the handler
+           carry the request's identity. *)
+        Rvu_exec.Pool.Persistent.submit t.pool (fun () ->
+            Rvu_obs.Phase.observe "queue"
+              (Rvu_obs.Clock.now_s () -. admitted_at);
             let result =
               match deadline with
               | Some dl when now () > dl -> timed_out ()

@@ -20,8 +20,9 @@
 
     {b Counter semantics.} Every decision on this path increments a
     process-wide metric in {!Rvu_obs.Metrics} —
-    [rvu_sched_{admitted,shed,timeout}_total] and the
-    [rvu_sched_queue_wait_seconds] histogram. These are {e cumulative since
+    [rvu_sched_{admitted,shed,timeout}_total], and the queue wait (admission
+    to worker pickup) lands in [rvu_phase_seconds{phase="queue"}]. These
+    are {e cumulative since
     process start} and aggregated over every scheduler instance; they never
     reset, so rates must be computed by differencing successive snapshots.
     [cache_stats] is the per-instance view of the same activity. *)
@@ -47,15 +48,15 @@ type outcome = (Payload.t, Proto.error_code * string) result
     renders (or splices) its own codec's bytes from the memoized forms
     instead of re-printing the tree per response. *)
 
-val submit : ?ctx:string -> t -> Proto.envelope -> k:(outcome -> unit) -> unit
+val submit : t -> Proto.envelope -> k:(outcome -> unit) -> unit
 (** Run the request and deliver the outcome to [k] exactly once — on the
     calling domain for cache hits and shed requests, on a worker domain
     otherwise. [k] must not raise (a raise from a worker task is swallowed
-    by the pool; the caller would wait forever). [ctx] is the request's
-    {!Rvu_obs.Ctx} correlation id, re-installed on the worker domain for
-    the task's extent. Shed and timed-out requests are logged at [warn]
-    level. {!Proto.Stats} requests must not be submitted here — the server
-    answers them directly. *)
+    by the pool; the caller would wait forever). Either way [k] runs under
+    the caller's ambient {!Rvu_obs.Ctx} context: the worker pool carries
+    it across the domain hop. Shed and timed-out requests are logged at
+    [warn] level. {!Proto.Stats} requests must not be submitted here — the
+    server answers them directly. *)
 
 val cache_stats : t -> Lru.stats
 val jobs : t -> int

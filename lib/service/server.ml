@@ -275,117 +275,112 @@ let render_error ~wire ~ctx ~id code msg =
   | Wire_bin.Json -> Wire.print (Proto.error_response ~ctx ~id code msg)
   | Wire_bin.Binary -> Wire_bin.encode (Proto.error_response ~ctx ~id code msg)
 
-(* The serve-side span context for a request that propagated [trace]: a
-   child of the sender's context when the member parsed, a fresh root
-   otherwise, [None] with tracing off. Malformed contexts are discarded
+(* The request context for envelope id [id] that propagated [trace]: a
+   child span of the sender's when the member parsed, a fresh root
+   otherwise, no span with tracing off. Malformed contexts are discarded
    (never an error) per the W3C traceparent rule. *)
-let serve_context trace =
-  if Rvu_obs.Trace.enabled () then
-    Some
-      (match Option.bind trace Rvu_obs.Trace.of_traceparent with
-      | Some parent -> Rvu_obs.Trace.child_of parent
-      | None -> Rvu_obs.Trace.new_root ())
-  else None
+let request_context id trace =
+  {
+    Rvu_obs.Ctx.cid = Rvu_obs.Ctx.derive id;
+    span =
+      (if Rvu_obs.Trace.enabled () then
+         Some
+           (match Option.bind trace Rvu_obs.Ctx.of_traceparent with
+           | Some parent -> Rvu_obs.Ctx.child_of parent
+           | None -> Rvu_obs.Ctx.new_root ())
+       else None);
+  }
 
-(* Close out a request: file its wall time (the ambient span context
-   makes the observation exemplar-bearing), emit the per-request "serve"
-   complete span, and — when the request blew the [--slow-ms] budget —
-   force-retain its trace id so the evidence survives ring wrap. *)
-let finish_request t ~kind ~sc ~t0 =
+(* Close out a request under its context: file its wall time (the span
+   context makes the observation exemplar-bearing), emit the per-request
+   "serve" complete span, and — when the request blew the [--slow-ms]
+   budget — force-retain its trace id so the evidence survives ring
+   wrap. *)
+let finish_request t ~kind ~(ctx : Rvu_obs.Ctx.t) ~t0 =
   let dt = Rvu_obs.Clock.now_s () -. t0 in
   Rvu_obs.Metrics.observe (request_seconds kind) dt;
   Rvu_obs.Trace.complete
     ~args:[ ("kind", Wire.String kind) ]
     ~ts_us:(t0 *. 1e6) ~dur_us:(dt *. 1e6) "serve";
-  match (t.config.slow_ms, sc) with
-  | Some budget, Some c when dt *. 1000.0 > budget ->
-      Rvu_obs.Trace.retain ~trace_id:c.Rvu_obs.Trace.trace_id;
+  match (t.config.slow_ms, ctx.span) with
+  | Some budget, Some sc when dt *. 1000.0 > budget ->
+      Rvu_obs.Trace.retain ~trace_id:sc.Rvu_obs.Ctx.trace_id;
       Rvu_obs.Log.warn
         ~fields:
           [
             ("kind", Wire.String kind);
             ("ms", Wire.Float (dt *. 1000.0));
-            ("trace_id", Wire.String c.Rvu_obs.Trace.trace_id);
+            ("trace_id", Wire.String sc.Rvu_obs.Ctx.trace_id);
           ]
         "slow request: trace retained"
   | _ -> ()
 
 (* The shared post-decode path: sync kinds are answered in place, the
-   rest go through the scheduler. [frame_key] (set by the binary fast
-   path on a frame-cache miss) files the ok payload under the request's
-   envelope-excised frame bytes so the next identical frame skips
-   decoding. *)
+   rest go through the scheduler. The request context is installed once,
+   here: the scheduler's continuation runs either on this domain (cache
+   hits, sheds) or on a pool worker, which re-installs the same context.
+   [frame_key] (set by the binary fast path on a frame-cache miss) files
+   the ok payload under the request's envelope-excised frame bytes so the
+   next identical frame skips decoding. *)
 let handle_env ?frame_key ~wire t env ~respond =
-  let ctx = Rvu_obs.Ctx.derive env.Proto.id in
+  let c = request_context env.Proto.id env.Proto.trace in
+  let ctx = c.Rvu_obs.Ctx.cid in
   let kind = Proto.kind_string env.Proto.request in
-  let sc = serve_context env.Proto.trace in
-  Rvu_obs.Ctx.with_ctx ctx (fun () ->
-      Rvu_obs.Trace.with_context_opt sc (fun () ->
-          let t0 = Rvu_obs.Clock.now_s () in
-          Rvu_obs.Log.debug ~fields:[ ("kind", Wire.String kind) ] "request";
-          let sync body =
-            count t `Ok;
-            respond
-              (Rvu_obs.Phase.time "encode" (fun () ->
-                   render_ok_body ~wire ~ctx ~id:env.Proto.id body));
-            log_response ~kind ~t0 (Ok ());
-            finish_request t ~kind ~sc ~t0
-          in
-          match env.Proto.request with
-          | Proto.Stats -> sync (stats_json t)
-          | Proto.Health -> sync (health_json t)
-          | Proto.Metrics fmt ->
-              sync
-                (match fmt with
-                | Proto.Metrics_json -> Rvu_obs.Metrics.json ()
-                | Proto.Metrics_prometheus ->
-                    Wire.String (Rvu_obs.Metrics.expose ()))
-          | Proto.Hello _ ->
-              (* Connection state, not a computation: the transports
-                 intercept a first-record hello before it reaches this
-                 path, so one seen here arrived mid-stream (or through the
-                 in-process entry). *)
-              let msg = "hello must be the first record on a connection" in
-              count t `Error;
-              Rvu_obs.Log.warn
-                ~fields:[ ("error", Wire.String msg) ]
-                "request invalid";
-              respond
-                (render_error ~wire ~ctx ~id:env.Proto.id
-                   Proto.Invalid_request msg)
-          | _ ->
-              enter t;
-              Sched.submit ~ctx t.sched env ~k:(fun outcome ->
-                  (* [k] may run on a worker domain; re-install the id and
-                     the span context so the response record, the serve
-                     span and the latency exemplar stay correlated. *)
-                  Rvu_obs.Ctx.with_ctx ctx (fun () ->
-                      Rvu_obs.Trace.with_context_opt sc (fun () ->
-                          let response =
-                            match outcome with
-                            | Ok p ->
-                                count t `Ok;
-                                (match frame_key with
-                                | Some key ->
-                                    Lru.add t.frames key
-                                      { f_kind = kind; f_ok = p }
-                                | None -> ());
-                                Rvu_obs.Phase.time "encode" (fun () ->
-                                    render_ok_payload ~wire ~ctx
-                                      ~id:env.Proto.id p)
-                            | Error (code, msg) ->
-                                count t
-                                  (match code with
-                                  | Proto.Overloaded -> `Overloaded
-                                  | _ -> `Error);
-                                render_error ~wire ~ctx ~id:env.Proto.id code
-                                  msg
-                          in
-                          (try respond response with _ -> ());
-                          log_response ~kind ~t0
-                            (Result.map (fun _ -> ()) outcome);
-                          finish_request t ~kind ~sc ~t0;
-                          leave t)))))
+  Rvu_obs.Ctx.with_ctx c (fun () ->
+      let t0 = Rvu_obs.Clock.now_s () in
+      Rvu_obs.Log.debug ~fields:[ ("kind", Wire.String kind) ] "request";
+      let sync body =
+        count t `Ok;
+        respond
+          (Rvu_obs.Phase.time "encode" (fun () ->
+               render_ok_body ~wire ~ctx ~id:env.Proto.id body));
+        log_response ~kind ~t0 (Ok ());
+        finish_request t ~kind ~ctx:c ~t0
+      in
+      match env.Proto.request with
+      | Proto.Stats -> sync (stats_json t)
+      | Proto.Health -> sync (health_json t)
+      | Proto.Metrics fmt ->
+          sync
+            (match fmt with
+            | Proto.Metrics_json -> Rvu_obs.Metrics.json ()
+            | Proto.Metrics_prometheus ->
+                Wire.String (Rvu_obs.Metrics.expose ()))
+      | Proto.Hello _ ->
+          (* Connection state, not a computation: the transports intercept
+             a first-record hello before it reaches this path, so one seen
+             here arrived mid-stream (or through the in-process entry). *)
+          let msg = "hello must be the first record on a connection" in
+          count t `Error;
+          Rvu_obs.Log.warn
+            ~fields:[ ("error", Wire.String msg) ]
+            "request invalid";
+          respond
+            (render_error ~wire ~ctx ~id:env.Proto.id Proto.Invalid_request msg)
+      | _ ->
+          enter t;
+          Sched.submit t.sched env ~k:(fun outcome ->
+              let response =
+                match outcome with
+                | Ok p ->
+                    count t `Ok;
+                    (match frame_key with
+                    | Some key ->
+                        Lru.add t.frames key { f_kind = kind; f_ok = p }
+                    | None -> ());
+                    Rvu_obs.Phase.time "encode" (fun () ->
+                        render_ok_payload ~wire ~ctx ~id:env.Proto.id p)
+                | Error (code, msg) ->
+                    count t
+                      (match code with
+                      | Proto.Overloaded -> `Overloaded
+                      | _ -> `Error);
+                    render_error ~wire ~ctx ~id:env.Proto.id code msg
+              in
+              (try respond response with _ -> ());
+              log_response ~kind ~t0 (Result.map (fun _ -> ()) outcome);
+              finish_request t ~kind ~ctx:c ~t0;
+              leave t))
 
 (* Decoded but not yet validated: reject with the id salvaged if the
    envelope carried a usable one, so even a rejected request can be
@@ -399,7 +394,7 @@ let handle_wire ?frame_key ~wire t w ~respond =
         | _ -> Wire.Null
       in
       let ctx = Rvu_obs.Ctx.derive id in
-      Rvu_obs.Ctx.with_ctx ctx (fun () ->
+      Rvu_obs.Ctx.with_ctx { cid = ctx; span = None } (fun () ->
           count t `Error;
           Rvu_obs.Log.warn ~fields:[ ("error", Wire.String msg) ] "request invalid";
           respond (render_error ~wire ~ctx ~id Proto.Invalid_request msg))
@@ -407,14 +402,14 @@ let handle_wire ?frame_key ~wire t w ~respond =
 
 let reject_parse ~wire t msg ~respond =
   let ctx = Rvu_obs.Ctx.generate () in
-  Rvu_obs.Ctx.with_ctx ctx (fun () ->
+  Rvu_obs.Ctx.with_ctx { cid = ctx; span = None } (fun () ->
       count t `Error;
       Rvu_obs.Log.warn ~fields:[ ("error", Wire.String msg) ] "request parse error";
       respond (render_error ~wire ~ctx ~id:Wire.Null Proto.Parse_error msg))
 
 let reject_oversized ~wire ~noun t bytes ~respond =
   let ctx = Rvu_obs.Ctx.generate () in
-  Rvu_obs.Ctx.with_ctx ctx (fun () ->
+  Rvu_obs.Ctx.with_ctx { cid = ctx; span = None } (fun () ->
       count t `Error;
       Rvu_obs.Log.warn
         ~fields:[ ("bytes", Wire.Int bytes) ]
@@ -527,48 +522,45 @@ let handle_payload t payload ~respond =
         match Lru.find t.frames key with
         | None -> handle_payload_slow ~frame_key:key t payload ~respond
         | Some { f_kind; f_ok } ->
-            let ctx = Rvu_obs.Ctx.derive id in
             (* With tracing off this decodes nothing (one branch); with it
                on, the propagated trace value — a binary String span the
                scan located — is decoded so the hit's serve span joins the
                router's trace. *)
-            let sc =
-              if Rvu_obs.Trace.enabled () then
-                serve_context
-                  (match scan.Wire_bin.trace_value with
-                  | Some (vstart, vend) -> (
-                      match
-                        Wire_bin.decode_span payload ~pos:vstart
-                          ~len:(vend - vstart)
-                      with
-                      | Ok (Wire.String tp) -> Some tp
-                      | Ok _ | Error _ -> None)
-                  | None -> None)
-              else None
+            let trace =
+              match scan.Wire_bin.trace_value with
+              | Some (vstart, vend) when Rvu_obs.Trace.enabled () -> (
+                  match
+                    Wire_bin.decode_span payload ~pos:vstart
+                      ~len:(vend - vstart)
+                  with
+                  | Ok (Wire.String tp) -> Some tp
+                  | Ok _ | Error _ -> None)
+              | _ -> None
             in
-            Rvu_obs.Ctx.with_ctx ctx (fun () ->
-                Rvu_obs.Trace.with_context_opt sc (fun () ->
-                    let t0 = Rvu_obs.Clock.now_s () in
-                    count t `Ok;
-                    let response =
-                      match scan.Wire_bin.id_value with
-                      | Some (vstart, vend) ->
-                          Payload.ok_bin_sub f_ok ~ctx ~id_src:payload
-                            ~id_pos:vstart ~id_len:(vend - vstart)
-                      | None -> Payload.ok_bin f_ok ~ctx ~id
-                    in
-                    (try respond response with _ -> ());
-                    log_response ~kind:f_kind ~t0 (Ok ());
-                    let dt = Rvu_obs.Clock.now_s () -. t0 in
-                    Rvu_obs.Metrics.observe (request_seconds f_kind) dt;
-                    Rvu_obs.Phase.observe "cache" dt;
-                    Rvu_obs.Trace.complete
-                      ~args:
-                        [
-                          ("kind", Wire.String f_kind);
-                          ("cache", Wire.String "frame");
-                        ]
-                      ~ts_us:(t0 *. 1e6) ~dur_us:(dt *. 1e6) "serve")))
+            let c = request_context id trace in
+            let ctx = c.Rvu_obs.Ctx.cid in
+            Rvu_obs.Ctx.with_ctx c (fun () ->
+                let t0 = Rvu_obs.Clock.now_s () in
+                count t `Ok;
+                let response =
+                  match scan.Wire_bin.id_value with
+                  | Some (vstart, vend) ->
+                      Payload.ok_bin_sub f_ok ~ctx ~id_src:payload
+                        ~id_pos:vstart ~id_len:(vend - vstart)
+                  | None -> Payload.ok_bin f_ok ~ctx ~id
+                in
+                (try respond response with _ -> ());
+                log_response ~kind:f_kind ~t0 (Ok ());
+                let dt = Rvu_obs.Clock.now_s () -. t0 in
+                Rvu_obs.Metrics.observe (request_seconds f_kind) dt;
+                Rvu_obs.Phase.observe "cache" dt;
+                Rvu_obs.Trace.complete
+                  ~args:
+                    [
+                      ("kind", Wire.String f_kind);
+                      ("cache", Wire.String "frame");
+                    ]
+                  ~ts_us:(t0 *. 1e6) ~dur_us:(dt *. 1e6) "serve"))
 
 let await handle =
   let lock = Mutex.create () in
@@ -628,7 +620,7 @@ let serve_channels ?(wire = Wire_bin.Json) t ic oc =
   in
   let negotiate env m =
     let ctx = Rvu_obs.Ctx.derive env.Proto.id in
-    Rvu_obs.Ctx.with_ctx ctx (fun () ->
+    Rvu_obs.Ctx.with_ctx { cid = ctx; span = None } (fun () ->
         let t0 = Rvu_obs.Clock.now_s () in
         count t `Ok;
         (* The hello response is always JSON (the mode flips after it),
@@ -717,9 +709,7 @@ let resolve host =
     match Unix.gethostbyname host with
     | { Unix.h_addr_list = addrs; _ } when Array.length addrs > 0 -> addrs.(0)
     | _ | (exception Not_found) ->
-        invalid_arg (Printf.sprintf "Server.serve_tcp: cannot resolve %S" host))
-
-let resolve_host = resolve
+        invalid_arg (Printf.sprintf "Server.resolve: cannot resolve %S" host))
 
 let serve_tcp ?wire t ~host ~port ?connections () =
   (match Sys.os_type with

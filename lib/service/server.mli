@@ -15,21 +15,22 @@
     ({!Rvu_obs.Metrics}); the [metrics] request kind exposes the whole
     registry as a JSON snapshot or Prometheus text.
 
-    Correlation: each request line gets a {!Rvu_obs.Ctx} id — ["req-<id>"]
+    Correlation: each request line gets one {!Rvu_obs.Ctx} request
+    context, installed once for the whole handling extent (the worker pool
+    carries it to the worker domain). Its correlation id — ["req-<id>"]
     when the envelope carries an [Int]/[String] id, a generated
-    ["c<hex>"] otherwise — installed for the whole handling extent
-    (including the worker domain), stamped on every {!Rvu_obs.Log} record
-    and {!Rvu_obs.Trace} span emitted on the way, and echoed as the
+    ["c<hex>"] otherwise — is stamped on every {!Rvu_obs.Log} record and
+    {!Rvu_obs.Trace} span emitted on the way, and echoed as the
     response's envelope ["ctx"] field. When logging is configured the
     server writes a [debug]-level ["request"] record on accept and an
     [info]/[warn]/[error] ["response"] record on completion ([error] for
     [internal] outcomes, which also dump the flight recorder when one is
     armed).
 
-    Tracing: with {!Rvu_obs.Trace} enabled each request is served under a
-    span context — a child of the envelope's propagated ["trace"] member
-    (the router's W3C traceparent) when present, a fresh root otherwise —
-    and emits a per-request ["serve"] complete span. Serve latency is
+    Tracing: with {!Rvu_obs.Trace} enabled the request context also
+    carries a span context — a child of the envelope's propagated
+    ["trace"] member (the router's W3C traceparent) when present, a fresh
+    root otherwise — and each request emits a ["serve"] complete span. Serve latency is
     decomposed into [rvu_phase_seconds{phase=…}] histograms whose
     observations carry trace-id exemplars, and [slow_ms] force-retains
     over-budget requests' spans.
@@ -73,6 +74,11 @@ val handle_line : t -> string -> respond:(string -> unit) -> unit
 
 val handle_sync : t -> string -> string
 (** [handle_line] plus blocking until the response arrives. *)
+
+val await : (respond:(string -> unit) -> unit) -> string
+(** [await handle] calls [handle ~respond] and blocks until [respond] has
+    been called, returning its argument — the synchronous form of any
+    [handle_*] entry point, the cluster router's included. *)
 
 val handle_payload : t -> string -> respond:(string -> unit) -> unit
 (** The binary-path analogue of {!handle_line}: process one decoded
@@ -124,7 +130,13 @@ val serve_channels :
     with — falls back to line discipline, so hello-negotiating clients
     still work against a pinned server. *)
 
-val resolve_host : string -> Unix.inet_addr
+val hello_env : string -> (Proto.envelope * Wire_bin.mode) option
+(** The first record on a connection, if it is a well-formed [hello]
+    (with the wire it asks for) — anything else, including a malformed
+    hello, takes the ordinary request path and the connection stays
+    JSON. Shared with the cluster router's transport. *)
+
+val resolve : string -> Unix.inet_addr
 (** Resolve a host name or dotted quad (first address wins), raising
     [Invalid_argument] when it does not resolve — shared with the cluster
     router and the CLI's client-side connectors so every component

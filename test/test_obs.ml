@@ -288,6 +288,9 @@ let test_exposition_exact_lines () =
 module Log = Rvu_obs.Log
 module Ctx = Rvu_obs.Ctx
 
+(* A request context as the server installs it. *)
+let ctx ?span cid = { Ctx.cid; span }
+
 let parse_line line =
   match Wire.parse line with
   | Ok (Wire.Obj fields) -> fields
@@ -332,7 +335,7 @@ let test_log_level_gate () =
 let test_log_ndjson_round_trip () =
   Log.configure ~level:Log.Debug (Log.Ring 16);
   Fun.protect ~finally:Log.close (fun () ->
-      Ctx.with_ctx "req-rt" (fun () ->
+      Ctx.with_ctx (ctx "req-rt") (fun () ->
           (* Unsorted caller fields plus attempts to spoof reserved keys. *)
           Log.info
             ~fields:
@@ -374,7 +377,7 @@ let test_log_multi_domain_interleaving () =
         List.init domains (fun d ->
             Domain.spawn (fun () ->
                 Ctx.with_ctx
-                  (Printf.sprintf "dom-%d" d)
+                  (ctx (Printf.sprintf "dom-%d" d))
                   (fun () ->
                     for i = 1 to per_domain do
                       Log.info ~fields:[ ("i", Wire.Int i) ] "interleaved"
@@ -570,38 +573,39 @@ let test_trace_unwritable_path () =
 let all_hex s = String.for_all (fun c -> (c >= '0' && c <= '9') || (c >= 'a' && c <= 'f')) s
 
 let test_span_context_roundtrip () =
-  let root = Trace.new_root () in
-  check_int "trace id is 32 chars" 32 (String.length root.Trace.trace_id);
-  check_int "span id is 16 chars" 16 (String.length root.Trace.span_id);
+  let root = Ctx.new_root () in
+  check_int "trace id is 32 chars" 32 (String.length root.Ctx.trace_id);
+  check_int "span id is 16 chars" 16 (String.length root.Ctx.span_id);
   check_bool "ids are lowercase hex" true
-    (all_hex root.Trace.trace_id && all_hex root.Trace.span_id);
-  check_bool "root has no parent" true (root.Trace.parent_id = None);
-  let tp = Trace.to_traceparent root in
+    (all_hex root.Ctx.trace_id && all_hex root.Ctx.span_id);
+  check_bool "root has no parent" true (root.Ctx.parent_id = None);
+  let tp = Ctx.to_traceparent root in
   check_int "traceparent is 55 bytes" 55 (String.length tp);
-  (match Trace.of_traceparent tp with
+  (match Ctx.of_traceparent tp with
   | Some sc ->
-      check_string "trace id round-trips" root.Trace.trace_id sc.Trace.trace_id;
-      check_string "span id round-trips" root.Trace.span_id sc.Trace.span_id;
-      check_bool "parsed context carries no parent" true (sc.Trace.parent_id = None)
+      check_string "trace id round-trips" root.Ctx.trace_id sc.Ctx.trace_id;
+      check_string "span id round-trips" root.Ctx.span_id sc.Ctx.span_id;
+      check_bool "parsed context carries no parent" true
+        (sc.Ctx.parent_id = None)
   | None -> Alcotest.fail "own traceparent rejected");
-  let child = Trace.child_of root in
-  check_string "child keeps the trace id" root.Trace.trace_id child.Trace.trace_id;
+  let child = Ctx.child_of root in
+  check_string "child keeps the trace id" root.Ctx.trace_id child.Ctx.trace_id;
   check_bool "child gets a fresh span id" true
-    (child.Trace.span_id <> root.Trace.span_id);
+    (child.Ctx.span_id <> root.Ctx.span_id);
   check_bool "child parented under root" true
-    (child.Trace.parent_id = Some root.Trace.span_id);
-  let other = Trace.new_root () in
+    (child.Ctx.parent_id = Some root.Ctx.span_id);
+  let other = Ctx.new_root () in
   check_bool "roots are distinct traces" true
-    (other.Trace.trace_id <> root.Trace.trace_id)
+    (other.Ctx.trace_id <> root.Ctx.trace_id)
 
 let test_traceparent_rejects_malformed () =
-  let root = Trace.new_root () in
-  let tp = Trace.to_traceparent root in
+  let root = Ctx.new_root () in
+  let tp = Ctx.to_traceparent root in
   let zeros n = String.make n '0' in
   List.iter
     (fun (what, s) ->
       check_bool (Printf.sprintf "rejects %s" what) true
-        (Trace.of_traceparent s = None))
+        (Ctx.of_traceparent s = None))
     [
       ("empty", "");
       ("truncated", String.sub tp 0 54);
@@ -614,24 +618,27 @@ let test_traceparent_rejects_malformed () =
     ]
 
 let test_ambient_context_scoping () =
-  check_bool "no ambient context by default" true (Trace.current_context () = None);
-  let a = Trace.new_root () and b = Trace.new_root () in
-  Trace.with_context a (fun () ->
-      check_bool "installed" true (Trace.current_context () = Some a);
-      Trace.with_context b (fun () ->
-          check_bool "nested shadows" true (Trace.current_context () = Some b));
-      check_bool "restored after nesting" true (Trace.current_context () = Some a);
-      (match Trace.with_context b (fun () -> raise Exit) with
+  check_bool "no ambient context by default" true (Ctx.current () = None);
+  let a = ctx ~span:(Ctx.new_root ()) "req-a"
+  and b = ctx ~span:(Ctx.new_root ()) "req-b" in
+  Ctx.with_ctx a (fun () ->
+      check_bool "installed" true (Ctx.current () = Some a);
+      Ctx.with_ctx b (fun () ->
+          check_bool "nested shadows" true (Ctx.current () = Some b));
+      check_bool "restored after nesting" true (Ctx.current () = Some a);
+      (match Ctx.with_ctx b (fun () -> raise Exit) with
       | exception Exit -> ()
       | _ -> Alcotest.fail "Exit swallowed");
-      check_bool "restored after raise" true (Trace.current_context () = Some a));
-  check_bool "cleared at the outer exit" true (Trace.current_context () = None);
-  Trace.with_context_opt None (fun () ->
-      check_bool "with_context_opt None installs nothing" true
-        (Trace.current_context () = None));
+      check_bool "restored after raise" true (Ctx.current () = Some a));
+  check_bool "cleared at the outer exit" true (Ctx.current () = None);
+  Ctx.with_ctx (ctx "req-c") (fun () ->
+      check_bool "a context without a span installs no span context" true
+        (match Ctx.current () with
+        | Some { Ctx.cid = "req-c"; span = None } -> true
+        | _ -> false));
   (* Ambient context is domain-local: a worker domain starts clean. *)
-  Trace.with_context a (fun () ->
-      let d = Domain.spawn (fun () -> Trace.current_context ()) in
+  Ctx.with_ctx a (fun () ->
+      let d = Domain.spawn (fun () -> Ctx.current ()) in
       check_bool "fresh domain sees no context" true (Domain.join d = None))
 
 let arg_str key ev =
@@ -647,40 +654,43 @@ let find_event name events =
   | Some ev -> ev
   | None -> Alcotest.failf "no %S event in trace" name
 
-let test_events_stamped_with_context () =
+let test_events_stamped_with_ctx () =
   let path = Filename.temp_file "rvu_test" ".trace.json" in
   Trace.enable ~path ();
-  let root = Trace.new_root () in
-  let child = Trace.child_of root in
+  let root = Ctx.new_root () in
+  let child = Ctx.child_of root in
   Trace.instant "unstamped";
-  Trace.with_context root (fun () -> Trace.instant "at-root");
-  Trace.with_context child (fun () -> Trace.instant "at-child");
+  Ctx.with_ctx (ctx ~span:root "req-root") (fun () -> Trace.instant "at-root");
+  Ctx.with_ctx (ctx ~span:child "req-child") (fun () ->
+      Trace.instant "at-child");
   Trace.close ();
   let events = parse_trace path in
   check_bool "no context, no stamp" true
     (arg_str "trace_id" (find_event "unstamped" events) = None);
   let at_root = find_event "at-root" events in
   check_bool "root trace id stamped" true
-    (arg_str "trace_id" at_root = Some root.Trace.trace_id);
+    (arg_str "trace_id" at_root = Some root.Ctx.trace_id);
   check_bool "root span id stamped" true
-    (arg_str "span_id" at_root = Some root.Trace.span_id);
+    (arg_str "span_id" at_root = Some root.Ctx.span_id);
   check_bool "root event has no parent_id" true
     (arg_str "parent_id" at_root = None);
+  check_bool "correlation id stamped alongside" true
+    (arg_str "ctx" at_root = Some "req-root");
   let at_child = find_event "at-child" events in
   check_bool "child span id stamped" true
-    (arg_str "span_id" at_child = Some child.Trace.span_id);
+    (arg_str "span_id" at_child = Some child.Ctx.span_id);
   check_bool "child parent_id is the root span" true
-    (arg_str "parent_id" at_child = Some root.Trace.span_id);
+    (arg_str "parent_id" at_child = Some root.Ctx.span_id);
   Sys.remove path
 
 let test_retain_survives_ring_wrap () =
   let path = Filename.temp_file "rvu_test" ".trace.json" in
   Trace.enable ~capacity:4 ~path ();
-  let sc = Trace.new_root () in
-  Trace.with_context sc (fun () ->
+  let sc = Ctx.new_root () in
+  Ctx.with_ctx (ctx ~span:sc "req-slow") (fun () ->
       Trace.instant "slow1";
       Trace.instant "slow2");
-  Trace.retain ~trace_id:sc.Trace.trace_id;
+  Trace.retain ~trace_id:sc.Ctx.trace_id;
   for i = 1 to 8 do
     Trace.instant (Printf.sprintf "fill%d" i)
   done;
@@ -696,9 +706,9 @@ let test_retain_survives_ring_wrap () =
     (meta_arg "dropped_oldest" = Some (Wire.Int 6));
   (* The slow request's events survive the wrap, still stamped. *)
   check_bool "slow1 survives the wrap" true
-    (arg_str "trace_id" (find_event "slow1" events) = Some sc.Trace.trace_id);
+    (arg_str "trace_id" (find_event "slow1" events) = Some sc.Ctx.trace_id);
   check_bool "slow2 survives the wrap" true
-    (arg_str "trace_id" (find_event "slow2" events) = Some sc.Trace.trace_id);
+    (arg_str "trace_id" (find_event "slow2" events) = Some sc.Ctx.trace_id);
   (* And the ring window is intact behind them. *)
   let names =
     List.filter_map
@@ -736,23 +746,30 @@ let test_exemplars_attach_trace_id () =
   in
   Metrics.observe h 0.25;
   check_bool "no ambient context, no exemplar" true (Metrics.exemplars h = []);
-  let sc = Trace.new_root () in
-  Trace.with_context sc (fun () -> Metrics.observe h 0.75);
+  let untraced =
+    Metrics.histogram ~buckets:[| 0.5; 1.0 |]
+      "test_obs_exemplar_untraced_seconds"
+  in
+  Ctx.with_ctx (ctx "req-untraced") (fun () -> Metrics.observe untraced 0.25);
+  check_bool "a context without a span context, no exemplar" true
+    (Metrics.exemplars untraced = []);
+  let sc = Ctx.new_root () in
+  Ctx.with_ctx (ctx ~span:sc "req-x") (fun () -> Metrics.observe h 0.75);
   (match Metrics.exemplars h with
   | [ (v, t, _ts) ] ->
       check_bool "observed value kept" true (v = 0.75);
-      check_string "exemplar carries the ambient trace id" sc.Trace.trace_id t
+      check_string "exemplar carries the ambient trace id" sc.Ctx.trace_id t
   | l -> Alcotest.failf "expected 1 exemplar, got %d" (List.length l));
   (* Latest observation in a bucket wins. *)
-  let sc2 = Trace.new_root () in
-  Trace.with_context sc2 (fun () -> Metrics.observe h 0.8);
+  let sc2 = Ctx.new_root () in
+  Ctx.with_ctx (ctx ~span:sc2 "req-y") (fun () -> Metrics.observe h 0.8);
   (match Metrics.exemplars h with
   | [ (v, t, _) ] ->
-      check_bool "latest wins" true (v = 0.8 && t = sc2.Trace.trace_id)
+      check_bool "latest wins" true (v = 0.8 && t = sc2.Ctx.trace_id)
   | l -> Alcotest.failf "expected 1 exemplar, got %d" (List.length l));
   (* Private histograms are measurement state: never exemplared. *)
   let p = Metrics.private_histogram () in
-  Trace.with_context sc (fun () -> Metrics.observe p 0.1);
+  Ctx.with_ctx (ctx ~span:sc "req-x") (fun () -> Metrics.observe p 0.1);
   check_bool "private histogram takes no exemplar" true
     (Metrics.exemplars p = []);
   let text = Metrics.expose_openmetrics () in
@@ -761,7 +778,7 @@ let test_exemplars_attach_trace_id () =
        ~needle:
          (Printf.sprintf
             "test_obs_exemplar_seconds_bucket{le=\"1.0\"} 3 # {trace_id=%S} 0.8"
-            sc2.Trace.trace_id)
+            sc2.Ctx.trace_id)
        text);
   check_bool "terminated by # EOF" true
     (String.length text >= 6
@@ -1004,7 +1021,7 @@ let () =
           Alcotest.test_case "ambient scoping" `Quick
             test_ambient_context_scoping;
           Alcotest.test_case "events stamped with context" `Quick
-            test_events_stamped_with_context;
+            test_events_stamped_with_ctx;
           Alcotest.test_case "exemplars attach trace ids" `Quick
             test_exemplars_attach_trace_id;
         ] );

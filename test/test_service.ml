@@ -725,7 +725,11 @@ let test_server_fault_correlation () =
        lines)
 
 (* Spans recorded while a request is in flight carry the same correlation
-   id in their args — a log grep and a trace lane meet on "req-5". *)
+   id in their args — a log grep and a trace lane meet on "req-5" — and
+   the same request context reaches the pool worker and the latency
+   exemplar: the engine span, recorded on the worker domain, carries the
+   inbound trace id and is parented under the inbound span, and the
+   request histogram's exemplar names that trace. *)
 let test_server_trace_span_ctx () =
   let path = Filename.temp_file "rvu-test-trace" ".json" in
   Fun.protect ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
@@ -735,9 +739,18 @@ let test_server_trace_span_ctx () =
     { Server.default_config with Server.jobs = 1; cache_entries = 0 }
   in
   let server = Server.create ~config () in
-  let response =
-    Result.get_ok (Wire.parse (Server.handle_sync server (simulate_line ~id:5 1.25)))
+  let inbound = Rvu_obs.Ctx.new_root () in
+  let line =
+    match Wire.parse (simulate_line ~id:5 1.25) with
+    | Ok (Wire.Obj members) ->
+        Wire.print
+          (Wire.Obj
+             (members
+             @ [ ("trace", Wire.String (Rvu_obs.Ctx.to_traceparent inbound)) ]
+             ))
+    | _ -> Alcotest.fail "simulate line is not an object"
   in
+  let response = Result.get_ok (Wire.parse (Server.handle_sync server line)) in
   Server.stop server;
   Rvu_obs.Trace.close ();
   check_bool "simulate succeeded" true (error_code response = None);
@@ -752,7 +765,43 @@ let test_server_trace_span_ctx () =
            contains ~needle:{|"name":"engine.detect"|} line
            && contains ~needle:{|"ctx":"req-5"|} line)
   in
-  check_bool "engine span args carry the request ctx" true span_with_ctx
+  check_bool "engine span args carry the request ctx" true span_with_ctx;
+  let detect =
+    match Wire.parse body with
+    | Ok (Wire.List events) -> (
+        match
+          List.find_opt
+            (fun ev ->
+              Wire.member "name" ev = Some (Wire.String "engine.detect")
+              && Wire.member "ph" ev = Some (Wire.String "B"))
+            events
+        with
+        | Some ev -> ev
+        | None -> Alcotest.fail "no engine.detect begin event")
+    | _ -> Alcotest.fail "trace file is not a JSON array"
+  in
+  let arg k = Option.bind (Wire.member "args" detect) (Wire.member k) in
+  check_bool "engine span recorded on a pool worker domain" true
+    (Wire.member "tid" detect <> Some (Wire.Int (Domain.self () :> int)));
+  check_bool "engine span carries ctx req-5" true
+    (arg "ctx" = Some (Wire.String "req-5"));
+  check_bool "engine span carries the inbound trace id" true
+    (arg "trace_id" = Some (Wire.String inbound.Rvu_obs.Ctx.trace_id));
+  check_bool "engine span is parented under the inbound span" true
+    (arg "parent_id" = Some (Wire.String inbound.Rvu_obs.Ctx.span_id));
+  let exemplar_line =
+    String.split_on_char '\n' (Rvu_obs.Metrics.expose_openmetrics ())
+    |> List.exists (fun l ->
+           contains ~needle:"rvu_server_request_seconds_bucket{" l
+           && contains ~needle:{|kind="simulate"|} l
+           && contains
+                ~needle:
+                  (Printf.sprintf "# {trace_id=%S}"
+                     inbound.Rvu_obs.Ctx.trace_id)
+                l)
+  in
+  check_bool "request-latency exemplar names the inbound trace" true
+    exemplar_line
 
 (* The health endpoint: ready when quiet, degraded after a shed, and the
    per-probe shed mark advances so the next probe is ready again. *)
