@@ -154,20 +154,27 @@ let table_of_source = function
    their horizon. *)
 let block = 512
 
-(* Chunked sources (a [Compiled.deriver]) produce segments with a flat
-   array pass, ~50x cheaper per segment than a stream compile — so the
-   early-exit waste of a large block is negligible and bigger blocks
-   amortise the per-pull overhead. *)
+(* The cap of a chunked source's doubling schedule. A [Compiled.deriver]
+   produces segments with a flat array pass, ~50x cheaper per segment
+   than a stream compile, so deep runs amortise the per-pull overhead
+   over big chunks — but Algorithm 7's rounds grow geometrically (round
+   n spans 51, 257, 1051, 4161, 16499 segments for n = 1..5) and most
+   instances meet in rounds 1-3, so the first pull asks for [block] and
+   each later one doubles: 512, 1024, ..., 16384, 16384, .... A run that
+   meets at segment k derives fewer than 2k + 512 segments. *)
 let chunk_block = 16384
 
 (* One robot's scan position: an index into the current compiled block,
    plus how to produce the next block ([pull n] returns an empty table
-   when the stream is exhausted). *)
+   when the stream is exhausted). [block] is the size of the next pull;
+   it doubles after each pull up to [max_block], which stream sources set
+   to [block] itself. *)
 type side = {
   mutable tbl : Compiled.t;
   mutable idx : int;
   mutable pull : int -> Compiled.t;
-  block : int;
+  mutable block : int;
+  max_block : int;
   mutable ended : bool;
 }
 
@@ -178,15 +185,14 @@ let pull_of_seq s =
     tail := rest;
     tbl
 
-let side_of_source = function
-  | Src_seq s ->
-      { tbl = Compiled.empty; idx = 0; pull = pull_of_seq s; block;
-        ended = false }
-  | Src_table (tbl, tail) ->
-      { tbl; idx = 0; pull = pull_of_seq tail; block; ended = false }
-  | Src_chunks f ->
-      { tbl = Compiled.empty; idx = 0; pull = f; block = chunk_block;
-        ended = false }
+let side_of_source src =
+  let tbl, pull, max_block =
+    match src with
+    | Src_seq s -> (Compiled.empty, pull_of_seq s, block)
+    | Src_table (tbl, tail) -> (tbl, pull_of_seq tail, block)
+    | Src_chunks f -> (Compiled.empty, f, chunk_block)
+  in
+  { tbl; idx = 0; pull; block; max_block; ended = false }
 
 (* Advance [side] to its first segment ending after [scratch.(5)] — the
    compiled counterpart of [pull]: skips zero-duration stragglers, pulls
@@ -206,6 +212,7 @@ let ensure side (scratch : float array) =
     let tbl = side.tbl in
     if side.idx >= tbl.Compiled.n then begin
       let next = side.pull side.block in
+      side.block <- min side.max_block (2 * side.block);
       if next.Compiled.n = 0 then begin
         side.ended <- true;
         continue := false

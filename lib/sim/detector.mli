@@ -71,7 +71,12 @@ val source_of_table :
 
 val source_of_chunks : (int -> Rvu_trajectory.Compiled.t) -> source
 (** [source_of_chunks pull]: scan successive table chunks produced by
-    [pull max_segments] — an empty table ends the stream. Built for
+    [pull max_segments] — an empty table ends the stream. The scan asks
+    for doubling sizes: 512 on the first pull, then 1024, 2048, ... up
+    to 16384, and 16384 on every pull after that, so a run that meets
+    early derives little while a deep run pays the per-pull overhead
+    only once per 16384 segments. (Stream and table sources compile
+    their continuation in fixed 512-segment blocks.) Built for
     {!Rvu_trajectory.Compiled.next_chunk}, whose chunks are only valid
     until the next pull: the scan honours that by discarding each chunk
     before pulling the next. *)

@@ -30,6 +30,13 @@ let m_intervals =
     ~help:"Segment-pair intervals scanned by the detector"
     "rvu_engine_intervals_total"
 
+(* Derived over scanned is the derive layer's waste ratio: rows a run
+   paid for but never reached. *)
+let m_derived =
+  Rvu_obs.Metrics.counter
+    ~help:"Segments the displaced robot's derived chunks handed the detector"
+    "rvu_engine_derived_segments_total"
+
 let m_detect =
   Rvu_obs.Metrics.histogram ~help:"Wall seconds per detector pass"
     "rvu_engine_detect_seconds"
@@ -59,6 +66,7 @@ let run_with_source ?closed_forms ?resolution ?horizon ?(kernel = Compiled)
     ~reference ~program inst =
   let clocked = Frame.clocked inst.attributes ~displacement:inst.displacement in
   let t0 = Rvu_obs.Clock.now_s () in
+  let derived = ref 0 in
   let outcome, stats =
     Rvu_obs.Trace.with_span "engine.detect" (fun () ->
         match kernel with
@@ -70,9 +78,10 @@ let run_with_source ?closed_forms ?resolution ?horizon ?(kernel = Compiled)
                    it chunk by chunk with flat array passes instead of
                    re-realising the whole stream — this is where the
                    compiled path stops paying the lazy-realisation cost
-                   the interpreted path is stuck with, and streaming the
-                   derivation means a run that meets early never derives
-                   past its meeting. *)
+                   the interpreted path is stuck with. The detector asks
+                   for doubling chunk sizes (512 up to 16384), so a run
+                   that meets at segment k derives fewer than 2k + 512
+                   segments. *)
                 let d =
                   Rvu_trajectory.Compiled.deriver
                     ~arena:(Domain.DLS.get derive_arena)
@@ -81,7 +90,11 @@ let run_with_source ?closed_forms ?resolution ?horizon ?(kernel = Compiled)
                 Detector.first_meeting_sources ?closed_forms ?resolution
                   ?horizon ~r:inst.r reference
                   (Detector.source_of_chunks (fun n ->
-                       Rvu_trajectory.Compiled.next_chunk d ~max_segments:n))
+                       let chunk =
+                         Rvu_trajectory.Compiled.next_chunk d ~max_segments:n
+                       in
+                       derived := !derived + chunk.Rvu_trajectory.Compiled.n;
+                       chunk))
             | None ->
                 let s_r' =
                   Rvu_obs.Phase.time "realize" (fun () ->
@@ -109,6 +122,7 @@ let run_with_source ?closed_forms ?resolution ?horizon ?(kernel = Compiled)
   Rvu_obs.Phase.observe "detect" detect_s;
   Rvu_obs.Metrics.incr m_runs;
   Rvu_obs.Metrics.incr ~by:stats.Detector.intervals m_intervals;
+  Rvu_obs.Metrics.incr ~by:!derived m_derived;
   let bound =
     Rvu_obs.Trace.with_span "engine.bound" (fun () ->
         Universal.guarantee inst.attributes ~d:(Vec2.norm inst.displacement)

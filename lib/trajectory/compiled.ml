@@ -263,7 +263,10 @@ let arena_ensure a n =
 (* The shared inner loop of {!derive} and {!next_chunk}: derive source
    rows from index [i0] under the clocked frame, writing kept segments
    into the given columns from offset [0], until [max_kept] segments are
-   kept or the source is exhausted. The Neumaier accumulator in [st]
+   kept or the source is exhausted. Every column of every kept row is
+   written — zeros where the kind has no value, as in [of_timed] — since
+   an arena's rows still hold whatever an earlier derive, of another
+   program or another slice, left there. The Neumaier accumulator in [st]
    ([st.(0)] = sum, [st.(1)] = compensation — exactly [Realize]'s
    [advance]/[now]; a float array keeps the cells unboxed, unlike a
    [float ref] which would box every store) is resumed and left updated,
@@ -311,8 +314,13 @@ let derive_range (c : Realize.clocked) src ~i0 ~max_kept ~(st : float array)
         let py = oy +. (sc *. ((si *. x) +. (co *. ry))) in
         g0.(k) <- px;
         g1.(k) <- py;
+        g2.(k) <- 0.0;
+        g3.(k) <- 0.0;
+        g4.(k) <- 0.0;
         abx.(k) <- px;
         aby.(k) <- py;
+        asx.(k) <- 0.0;
+        asy.(k) <- 0.0;
         (* A wait's shape duration is frame-independent. *)
         local_dur.(k) <- src.local_dur.(!i);
         speed.(k) <- 0.0
@@ -330,6 +338,7 @@ let derive_range (c : Realize.clocked) src ~i0 ~max_kept ~(st : float array)
         g1.(k) <- sy;
         g2.(k) <- dx;
         g3.(k) <- dy;
+        g4.(k) <- 0.0;
         let len = Float.hypot (sx -. dx) (sy -. dy) in
         local_dur.(k) <- len;
         speed.(k) <- len /. dur';
@@ -351,6 +360,10 @@ let derive_range (c : Realize.clocked) src ~i0 ~max_kept ~(st : float array)
         g2.(k) <- radius;
         g3.(k) <- ang +. (chi *. src.g3.(!i));
         g4.(k) <- sweep;
+        abx.(k) <- 0.0;
+        aby.(k) <- 0.0;
+        asx.(k) <- 0.0;
+        asy.(k) <- 0.0;
         let len = radius *. Float.abs sweep in
         local_dur.(k) <- len;
         speed.(k) <- len /. dur'

@@ -122,17 +122,20 @@ val derive :
 
     With [?arena], the returned table's columns alias the arena's storage:
     the table (and anything forced from its [segs]) is valid only until
-    the next [derive] against the same arena. Omit [arena] for a table
-    with independent storage. *)
+    the next [derive] against the same arena. Every column of every row
+    is written, so what an earlier derive left in the arena never shows
+    through. Omit [arena] for a table with independent storage. *)
 
 type deriver
 (** A streaming {!derive}: hands out the derived realisation in
     successive chunk tables, carrying the compensated timestamp
     accumulator across calls, so the concatenated chunks are bit-for-bit
-    the single-pass table — but derivation cost tracks what the consumer
-    actually reads. Meeting depths across a batch are wildly skewed; the
-    detector stops pulling chunks at the meeting, so a shallow run no
-    longer pays for the full reference prefix. *)
+    the single-pass table — but derivation cost tracks the chunk sizes
+    the consumer asks for. Meeting depths across a batch are wildly
+    skewed; the detector asks for doubling sizes (512, 1024, ...,
+    16384) and stops pulling at the meeting, so a run that meets at
+    segment [k] derives fewer than [2k + 512] segments rather than the
+    whole reference prefix. *)
 
 val deriver :
   ?arena:arena -> Realize.clocked -> t -> tail:Timed.t Seq.t -> deriver

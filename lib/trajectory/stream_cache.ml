@@ -166,12 +166,22 @@ let stream_from t start =
 
 let stream t = stream_from t 0
 
+(* The prefix [compiled_source] realizes before compiling, one derive
+   chunk at its largest. Every recompile copies the whole prefix, and the
+   engine's chunks start at 512 segments, so a prefix left to grow as
+   deeper runs arrive would be realized and recompiled piecemeal, each
+   step paid by whichever request first reached past it. Realizing the
+   shallow rounds' prefix once, at first use, keeps that cost out of the
+   requests. *)
+let min_compiled = 16384
+
 let compiled_source t =
   Mutex.lock t.lock;
   let tbl =
     Fun.protect
       ~finally:(fun () -> Mutex.unlock t.lock)
       (fun () ->
+        if t.len < min_compiled && not t.ended then fill t (min_compiled - 1);
         if t.compiled.Compiled.n = t.len then t.compiled
         else begin
           (* Compile a snapshot of the realized prefix. [buf] may be

@@ -43,11 +43,14 @@ val stream_from : t -> int -> Timed.t Seq.t
 
 val compiled_source : t -> Compiled.t * Timed.t Seq.t
 (** The realized prefix as a {!Compiled} table, plus the stream of
-    everything after it. The compilation is memoized and only redone when
-    the prefix has grown since the last call, so a batch that shares this
-    cache realizes once and compiles once — later callers (including
-    neighbouring sweep cells resolving the same registry key) get the
-    same table for free. Segments are identical to [stream t]'s, in the
+    everything after it. The prefix is first realized to at least 16384
+    segments (fewer if the stream ends or the cap is lower), so the
+    shallow rounds a shared reference serves are realized and compiled
+    once rather than step by step as deeper consumers arrive. The
+    compilation is memoized and only redone when the prefix has grown
+    since the last call, so a batch that shares this cache realizes once
+    and compiles once — later callers (including neighbouring sweep
+    cells resolving the same registry key) get the same table for free. Segments are identical to [stream t]'s, in the
     same order: [table-prefix ++ tail] {e is} the reference stream, so
     compiled and interpreted consumers stay bit-identical. *)
 

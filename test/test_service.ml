@@ -650,6 +650,30 @@ let test_server_metrics_endpoint () =
     (registry_counter final "rvu_engine_runs_total"
      - registry_counter after "rvu_engine_runs_total"
     >= 1);
+  (* The derive layer's work: round 1 spans the first 51 segments, so a
+     round-1 simulate derives its first 512-segment chunk (the bound
+     leaves room for one more doubling), never a 16384-row chunk. *)
+  let shallow =
+    Result.get_ok
+      (Wire.parse
+         (Server.handle_sync server
+            {|{"kind":"simulate","tau":0.5,"d":1.5,"r":0.2,"bearing":0.7,"id":10}|}))
+  in
+  check_int "the shallow simulate meets in round 1" 1
+    (int_of_float (float_member [ "ok"; "phase"; "round" ] shallow));
+  let shallow_after = metrics () in
+  let derived body = registry_counter body "rvu_engine_derived_segments_total" in
+  let shallow_derived = derived shallow_after - derived final in
+  check_bool
+    (Printf.sprintf "a round-1 simulate derives 1-1024 segments (got %d)"
+       shallow_derived)
+    true
+    (shallow_derived > 0 && shallow_derived <= 1024);
+  check_int "stats process section agrees on derived segments"
+    (derived shallow_after)
+    (int_of_float
+       (float_member [ "process"; "engine_derived_segments" ]
+          (Server.stats_json server)));
   (* Prometheus format: same registry, text exposition in a JSON string. *)
   let prom =
     Result.get_ok

@@ -532,6 +532,86 @@ let test_compiled_sources_validation () =
            (Detector.source_of_seq Seq.empty)
            (Detector.source_of_seq Seq.empty)))
 
+(* The engine's compiled path, built by hand so the chunk sizes the
+   detector asks for can be recorded: a deriver over the shared reference
+   table, wrapped as a chunked source. Universal and Algorithm 4
+   instances, shallow and deep, run interleaved against one arena, so
+   every run derives into rows another program and frame left behind.
+   Each must agree with a single derived table and with the interpreted
+   kernel, and the pulls must follow the doubling schedule. *)
+let test_chunk_schedule () =
+  let horizon = 1e13 in
+  let arena = Compiled.arena () in
+  let reference program =
+    Compiled.of_seq ~max_segments:20_000
+      (Realize.realize Realize.identity program)
+  in
+  let run name program ~tau ~d ~r ~round ~pulls =
+    let inst =
+      Engine.instance
+        ~attributes:(Rvu_core.Attributes.make ~tau ())
+        ~displacement:(Vec2.of_polar ~radius:d ~angle:0.7)
+        ~r
+    in
+    let clocked =
+      Rvu_core.Frame.clocked inst.Engine.attributes
+        ~displacement:inst.Engine.displacement
+    in
+    let scan displaced =
+      let tbl, tail = reference (program ()) in
+      Detector.first_meeting_sources ~horizon ~r
+        (Detector.source_of_table tbl ~tail)
+        displaced
+    in
+    let requested = ref [] in
+    let chunked =
+      let tbl, tail = reference (program ()) in
+      let d = Compiled.deriver ~arena clocked tbl ~tail in
+      scan
+        (Detector.source_of_chunks (fun n ->
+             requested := n :: !requested;
+             Compiled.next_chunk d ~max_segments:n))
+    in
+    let table =
+      let tbl, tail = reference (program ()) in
+      let derived, tail = Compiled.derive clocked tbl ~tail in
+      scan (Detector.source_of_table derived ~tail)
+    in
+    let interpreted =
+      let res =
+        Engine.run ~horizon ~kernel:Engine.Interpreted ~program:(program ())
+          inst
+      in
+      (res.Engine.outcome, res.Engine.stats)
+    in
+    check_bool (name ^ ": chunked = one table") true
+      (detector_pair_equal chunked table);
+    check_bool (name ^ ": chunked = interpreted") true
+      (detector_pair_equal chunked interpreted);
+    (match (round, fst chunked) with
+    | Some n, Detector.Hit t ->
+        Alcotest.(check (option int))
+          (name ^ ": meeting round")
+          (Some n)
+          (Option.map fst (Rvu_core.Phases.phase_at t))
+    | Some _, _ -> Alcotest.failf "%s: no meeting" name
+    | None, _ -> ());
+    Alcotest.(check (list int))
+      (name ^ ": requested sizes")
+      (List.init pulls (fun k -> min 16384 (512 lsl k)))
+      (List.rev !requested)
+  in
+  let universal = Rvu_core.Universal.program
+  and algorithm4 = Rvu_search.Algorithm4.program in
+  run "universal deep" universal ~tau:0.998 ~d:20.0 ~r:0.01 ~round:(Some 5)
+    ~pulls:5;
+  run "algorithm4 shallow" algorithm4 ~tau:0.5 ~d:1.5 ~r:0.2 ~round:None
+    ~pulls:1;
+  run "universal shallow" universal ~tau:0.5 ~d:1.5 ~r:0.2 ~round:(Some 1)
+    ~pulls:1;
+  run "algorithm4 deep" algorithm4 ~tau:0.99 ~d:8.0 ~r:0.05 ~round:None
+    ~pulls:7
+
 (* ------------------------------------------------------------------ *)
 (* Multi (gathering) *)
 
@@ -709,6 +789,8 @@ let () =
             test_compiled_table_source;
           Alcotest.test_case "empty streams" `Quick test_compiled_empty_streams;
           Alcotest.test_case "validation" `Quick test_compiled_sources_validation;
+          Alcotest.test_case "doubling chunk schedule" `Quick
+            test_chunk_schedule;
         ] );
       ( "search engine",
         [

@@ -430,6 +430,27 @@ let test_stream_cache_stats () =
   Alcotest.(check int) "replay realizes nothing new" s1.Stream_cache.misses
     s2.Stream_cache.misses
 
+(* The first compile realizes one full derive chunk of a long stream (a
+   short one to its end), so the shared table does not grow piecemeal;
+   the tail resumes exactly after the table either way. *)
+let test_stream_cache_compiled_prefix () =
+  let long_program () =
+    Program.concat_list (List.init 60 (fun _ -> zigzag_program ()))
+  in
+  let cache = Stream_cache.create (long_program ()) in
+  let tbl, tail = Stream_cache.compiled_source cache in
+  Alcotest.(check int) "a full chunk realized" 16384 (Stream_cache.realized cache);
+  Alcotest.(check int) "and compiled" 16384 (Compiled.length tbl);
+  let direct = Array.of_seq (Realize.realize Realize.identity (long_program ())) in
+  check_bool "the tail resumes after the table" true
+    (match tail () with
+    | Seq.Cons (seg, _) -> timed_equal seg direct.(16384)
+    | Seq.Nil -> false);
+  let short = Stream_cache.create (zigzag_program ()) in
+  let tbl, tail = Stream_cache.compiled_source short in
+  Alcotest.(check int) "a short stream compiles whole" 300 (Compiled.length tbl);
+  check_bool "with nothing after it" true (Seq.is_empty tail)
+
 let test_stream_cache_registry () =
   let calls = ref 0 in
   let make () = incr calls; zigzag_program () in
@@ -553,6 +574,30 @@ let prop_compiled_of_seq_split_roundtrip =
       && List.length glued = List.length full
       && List.for_all2 timed_equal glued full)
 
+(* Rows [0, n) of [got] against rows [off, off + n) of [want], all 15
+   columns. Arena-backed columns are longer than their table, so compare
+   slices; structural [=] on floats admits exactly the documented ±0.0
+   slack. *)
+let rows_equal (got : Compiled.t) (want : Compiled.t) ~off =
+  let n = Compiled.length got in
+  let same col = Array.sub (col got) 0 n = Array.sub (col want) off n in
+  off + n <= Compiled.length want
+  && same (fun t -> t.Compiled.t0)
+  && same (fun t -> t.Compiled.dur)
+  && same (fun t -> t.Compiled.t_end)
+  && same (fun t -> t.Compiled.speed)
+  && same (fun t -> t.Compiled.kind)
+  && same (fun t -> t.Compiled.local_dur)
+  && same (fun t -> t.Compiled.g0)
+  && same (fun t -> t.Compiled.g1)
+  && same (fun t -> t.Compiled.g2)
+  && same (fun t -> t.Compiled.g3)
+  && same (fun t -> t.Compiled.g4)
+  && same (fun t -> t.Compiled.abx)
+  && same (fun t -> t.Compiled.aby)
+  && same (fun t -> t.Compiled.asx)
+  && same (fun t -> t.Compiled.asy)
+
 let prop_compiled_derive_matches_realize =
   QCheck.Test.make
     ~name:"compiled: derive equals compiling the re-realised stream" ~count:200
@@ -570,26 +615,10 @@ let prop_compiled_derive_matches_realize =
         Compiled.of_seq ~max_segments:(Compiled.length got)
           (Realize.realize c p)
       in
-      (* Structural [=] on float arrays compares numerically, so the
-         documented ±0.0 slack is exactly what it admits. *)
       Compiled.length got = Compiled.length want
       && got.Compiled.start = want.Compiled.start
       && got.Compiled.stop = want.Compiled.stop
-      && got.Compiled.t0 = want.Compiled.t0
-      && got.Compiled.dur = want.Compiled.dur
-      && got.Compiled.t_end = want.Compiled.t_end
-      && got.Compiled.speed = want.Compiled.speed
-      && got.Compiled.kind = want.Compiled.kind
-      && got.Compiled.local_dur = want.Compiled.local_dur
-      && got.Compiled.g0 = want.Compiled.g0
-      && got.Compiled.g1 = want.Compiled.g1
-      && got.Compiled.g2 = want.Compiled.g2
-      && got.Compiled.g3 = want.Compiled.g3
-      && got.Compiled.g4 = want.Compiled.g4
-      && got.Compiled.abx = want.Compiled.abx
-      && got.Compiled.aby = want.Compiled.aby
-      && got.Compiled.asx = want.Compiled.asx
-      && got.Compiled.asy = want.Compiled.asy
+      && rows_equal got want ~off:0
       && List.for_all2 timed_equal
            (List.of_seq got_tail)
            (List.of_seq want_tail))
@@ -631,6 +660,50 @@ let prop_compiled_deriver_chunks_concat =
       && List.for_all2 timed_equal got want
       (* Exhaustion is sticky: further pulls stay empty. *)
       && Compiled.length (Compiled.next_chunk d ~max_segments:4) = 0)
+
+(* The two properties above derive into fresh storage, where no stale
+   row can show, and the chunked one compares through [to_seq], which
+   never reads the affine columns. An engine's arena is reused across
+   runs of different programs, frames and chunk offsets, so a row must
+   come out the same whatever an earlier derive left in it. *)
+let prop_compiled_derive_dirty_arena =
+  QCheck.Test.make
+    ~name:"compiled: derive into a reused arena writes every column"
+    ~count:200
+    (QCheck.triple
+       (QCheck.pair clocked_arb nonempty_program_arb)
+       (QCheck.pair clocked_arb nonempty_program_arb)
+       (QCheck.pair
+          QCheck.(int_range 0 8)
+          (QCheck.list_of_size (QCheck.Gen.int_range 1 6) QCheck.(int_range 1 7))))
+    (fun ((c, p), (dirty_c, dirty_p), (cap, sizes)) ->
+      let reference p =
+        Compiled.of_seq ~max_segments:cap (Realize.realize Realize.identity p)
+      in
+      let arena = Compiled.arena () in
+      let soil () =
+        let tbl, tail = reference dirty_p in
+        ignore (Compiled.derive ~arena dirty_c tbl ~tail : Compiled.t * _)
+      in
+      let want, _ = Compiled.of_seq (Realize.realize c p) in
+      soil ();
+      let tbl, tail = reference p in
+      let one_shot, _ = Compiled.derive ~arena c tbl ~tail in
+      let one_shot_ok = rows_equal one_shot want ~off:0 in
+      soil ();
+      let tbl, tail = reference p in
+      let d = Compiled.deriver ~arena c tbl ~tail in
+      (* Shrinking can empty the list. *)
+      let sizes = Array.of_list (if sizes = [] then [ 1 ] else sizes) in
+      let rec chunks_ok off k =
+        let chunk =
+          Compiled.next_chunk d ~max_segments:sizes.(k mod Array.length sizes)
+        in
+        let n = Compiled.length chunk in
+        if n = 0 then off = Compiled.length want
+        else rows_equal chunk want ~off && chunks_ok (off + n) (k + 1)
+      in
+      one_shot_ok && chunks_ok 0 0)
 
 let test_compiled_validation () =
   Alcotest.check_raises "of_seq negative cap"
@@ -737,6 +810,8 @@ let () =
           Alcotest.test_case "hit/miss/eviction counters" `Quick
             test_stream_cache_stats;
           Alcotest.test_case "keyed registry" `Quick test_stream_cache_registry;
+          Alcotest.test_case "first compile realizes a chunk" `Quick
+            test_stream_cache_compiled_prefix;
         ] );
       ( "compiled",
         [
@@ -749,6 +824,7 @@ let () =
           qc prop_compiled_of_seq_split_roundtrip;
           qc prop_compiled_derive_matches_realize;
           qc prop_compiled_deriver_chunks_concat;
+          qc prop_compiled_derive_dirty_arena;
         ] );
       ( "drift",
         [
