@@ -9,7 +9,10 @@
    speed lands on both modes alike. Each pass is long enough (about half
    a second or more) that one scheduler hiccup is a small share of it.
    The median of the per-pair overheads must stay within 5%: tracing is
-   designed to be cheap enough to leave on.
+   designed to be cheap enough to leave on. The per-request cost
+   (traced minus untraced wall, per request) is reported beside the
+   percentage: a faster untraced path raises the percentage of the same
+   absolute cost.
 
    Integrity: a router over two spawned `rvu serve --trace` workers, the
    router itself tracing, drives a cold + warm load, stops the cluster
@@ -139,8 +142,12 @@ let bench_overhead () =
   let overheads =
     List.init pairs (fun i -> 100.0 *. ((traced.(i) /. off.(i)) -. 1.0))
   in
+  let costs_us =
+    List.init pairs (fun i ->
+        1e6 *. (traced.(i) -. off.(i)) /. float_of_int warm_requests)
+  in
   let median xs = Rvu_numerics.Stats.percentile 50.0 (Array.to_list xs) in
-  (median off, median traced, overheads, List.length serve_ids)
+  (median off, median traced, overheads, costs_us, List.length serve_ids)
 
 (* ------------------------------------------------------------------ *)
 (* Phase 2: router + traced workers, stitched *)
@@ -255,9 +262,13 @@ let run () =
        "Tracing overhead (%d warm requests x %d off/traced pairs) + \
         stitched router/%d-worker timeline (%d requests)"
        warm_requests pairs shards cluster_requests);
-  let wall_off, wall_traced, overheads, serve_exemplars = bench_overhead () in
+  let wall_off, wall_traced, overheads, costs_us, serve_exemplars =
+    bench_overhead ()
+  in
   let pct p = Rvu_numerics.Stats.percentile p overheads in
   let overhead = pct 50.0 and q1 = pct 25.0 and q3 = pct 75.0 in
+  let cost_us = Rvu_numerics.Stats.percentile 50.0 costs_us in
+  let per_req_us wall = 1e6 *. wall /. float_of_int warm_requests in
   let bin = rvu_bin () in
   let sum, forward_exemplars, warm = bench_cluster ~bin in
 
@@ -265,20 +276,38 @@ let run () =
     Rvu_report.Table.create
       ~columns:
         (List.map Rvu_report.Table.column
-           [ "mode"; "median wall (s)"; "overhead p50 (%)"; "p25-p75 (%)" ])
+           [
+             "mode";
+             "median wall (s)";
+             "us/request";
+             "overhead p50 (%)";
+             "p25-p75 (%)";
+             "cost p50 (us/request)";
+           ])
   in
   Rvu_report.Table.add_row t
-    [ "off"; Rvu_report.Table.fstr wall_off; "-"; "-" ];
+    [
+      "off";
+      Rvu_report.Table.fstr wall_off;
+      Rvu_report.Table.fstr (per_req_us wall_off);
+      "-";
+      "-";
+      "-";
+    ];
   Rvu_report.Table.add_row t
     [
       "traced";
       Rvu_report.Table.fstr wall_traced;
+      Rvu_report.Table.fstr (per_req_us wall_traced);
       Rvu_report.Table.fstr overhead;
       Printf.sprintf "%.2f to %.2f" q1 q3;
+      Rvu_report.Table.fstr cost_us;
     ];
   Util.table ~id:"perf-trace" t;
   Util.note "per-pair overhead (%%): %s"
     (String.concat " " (List.map (Printf.sprintf "%.1f") overheads));
+  Util.note "per-pair cost (us/request): %s"
+    (String.concat " " (List.map (Printf.sprintf "%.2f") costs_us));
   Util.note
     "stitched %d file(s), %d event(s): %d trace id(s), %d cross-process, %d \
      on 3+ lanes, %d re-parented; %d serve + %d forward exemplar(s) \
@@ -298,6 +327,7 @@ let run () =
         ("overhead_traced_pct", Wire.Float overhead);
         ("overhead_traced_pct_q1", Wire.Float q1);
         ("overhead_traced_pct_q3", Wire.Float q3);
+        ("overhead_traced_us_per_request", Wire.Float cost_us);
         ("serve_exemplars", Wire.Int serve_exemplars);
         ("serve_exemplars_in_trace", Wire.Bool true);
         ( "cluster",

@@ -1,11 +1,11 @@
 (* Byte-span surgery on NDJSON lines. See frame.mli for why the router
    splices bytes instead of re-printing parsed trees.
 
-   The scanners below are deliberately lenient: they run only on lines
-   that already passed [Wire.parse] (requests) or that a worker printed
-   (responses), so they can assume well-formed JSON and just walk
-   structure. Any surprise raises [Exit] internally and the caller's
-   wrapper degrades to a safe default. *)
+   The request-side helpers run only on lines that already passed
+   [Wire.parse] (requests) or that a worker printed (responses), so they
+   can assume well-formed JSON and just walk structure. Any surprise
+   raises [Exit] internally and the caller's wrapper degrades to a safe
+   default. *)
 
 let is_ws c = c = ' ' || c = '\t' || c = '\n' || c = '\r'
 
@@ -30,82 +30,29 @@ let skip_string s i =
   in
   go (i + 1)
 
-(* [i] at the first byte of a value; index just past it. *)
-let skip_value s i =
-  let n = String.length s in
-  let i = skip_ws s i in
-  if i >= n then raise Exit
-  else
-    match s.[i] with
-    | '"' -> skip_string s i
-    | '{' | '[' ->
-        let rec go i depth =
-          if i >= n then raise Exit
-          else
-            match s.[i] with
-            | '"' -> go (skip_string s i) depth
-            | '{' | '[' -> go (i + 1) (depth + 1)
-            | '}' | ']' -> if depth = 1 then i + 1 else go (i + 1) (depth - 1)
-            | _ -> go (i + 1) depth
-        in
-        go i 0
-    | _ ->
-        (* number / true / false / null *)
-        let rec go i =
-          if i >= n then i
-          else
-            match s.[i] with
-            | ',' | '}' | ']' -> i
-            | c when is_ws c -> i
-            | _ -> go (i + 1)
-        in
-        go (i + 1)
+module Envelope = Rvu_service.Envelope
 
-(* Walk the top-level members of an object line, reporting each raw
-   (unescaped) key text with its value span. *)
-let iter_members line f =
-  let n = String.length line in
-  let i = skip_ws line 0 in
-  if i >= n || line.[i] <> '{' then raise Exit;
-  let i = ref (i + 1) in
-  let stop = ref false in
-  while not !stop do
-    let j = skip_ws line !i in
-    if j >= n then raise Exit
-    else if line.[j] = '}' then stop := true
-    else begin
-      let j = if line.[j] = ',' then skip_ws line (j + 1) else j in
-      if j >= n || line.[j] <> '"' then raise Exit;
-      let key_end = skip_string line j in
-      let key = String.sub line (j + 1) (key_end - j - 2) in
-      let j = skip_ws line key_end in
-      if j >= n || line.[j] <> ':' then raise Exit;
-      let vstart = skip_ws line (j + 1) in
-      let vend = skip_value line vstart in
-      f key (vstart, vend);
-      i := vend
-    end
-  done
-
-let routing_parts line =
-  match
-    let spans = ref [] in
-    iter_members line (fun key span ->
-        if key = "id" || key = "timeout_ms" || key = "trace" then
-          spans := span :: !spans);
-    List.sort compare !spans
-  with
-  | exception Exit -> [ line ]
-  | spans ->
-      let n = String.length line in
+(* The byte runs between the envelope value spans the scan found; the
+   whole request when it found none or gave up. *)
+let parts_between bytes = function
+  | None -> [ bytes ]
+  | Some (scan : Envelope.scan) ->
+      let spans =
+        List.sort compare
+          (List.filter_map Fun.id
+             [ scan.id_value; scan.trace_value; scan.timeout_value ])
+      in
+      let n = String.length bytes in
       let parts = ref [] and pos = ref 0 in
       List.iter
         (fun (s, e) ->
-          if s > !pos then parts := String.sub line !pos (s - !pos) :: !parts;
+          if s > !pos then parts := String.sub bytes !pos (s - !pos) :: !parts;
           pos := e)
         spans;
-      if !pos < n then parts := String.sub line !pos (n - !pos) :: !parts;
+      if !pos < n then parts := String.sub bytes !pos (n - !pos) :: !parts;
       List.rev !parts
+
+let routing_parts line = parts_between line (Envelope.json line)
 
 let forward_parts ?trace line =
   (* The propagated span context rides right behind the router id, ahead
@@ -144,8 +91,6 @@ let forward_parts ?trace line =
    keys decode fine and [Wire.member] takes the first, exactly like the
    JSON path. *)
 
-module Wb = Rvu_service.Wire_bin
-
 let bin_u32 s pos =
   let b i = Char.code s.[pos + i] in
   (b 0 lsl 24) lor (b 1 lsl 16) lor (b 2 lsl 8) lor b 3
@@ -156,29 +101,7 @@ let add_bin_u32 b n =
   Buffer.add_char b (Char.chr ((n lsr 8) land 0xff));
   Buffer.add_char b (Char.chr (n land 0xff))
 
-let bin_routing_parts payload =
-  match
-    let spans = ref [] in
-    Wb.iter_members payload (fun kpos klen vstart vend ->
-        if
-          Wb.key_is payload kpos klen "id"
-          || Wb.key_is payload kpos klen "timeout_ms"
-          || Wb.key_is payload kpos klen "trace"
-        then spans := (vstart, vend) :: !spans);
-    List.sort compare !spans
-  with
-  | exception _ -> [ payload ]
-  | spans ->
-      let n = String.length payload in
-      let parts = ref [] and pos = ref 0 in
-      List.iter
-        (fun (s, e) ->
-          if s > !pos then
-            parts := String.sub payload !pos (s - !pos) :: !parts;
-          pos := e)
-        spans;
-      if !pos < n then parts := String.sub payload !pos (n - !pos) :: !parts;
-      List.rev !parts
+let bin_routing_parts payload = parts_between payload (Envelope.binary payload)
 
 (* The encoded trace member ([u32 5]["trace"]['\x05'][u32 len][bytes]),
    prepended to [post] so it lands right behind the spliced router id. *)

@@ -14,8 +14,10 @@
       spelling of everything else (including its own id) rides along
       untouched;
     - the routing key is the line with the envelope value spans (["id"],
-      ["timeout_ms"]) blanked out ({!routing_parts}), so retries of the
-      same scenario under fresh client ids still land on the same shard;
+      ["timeout_ms"], ["trace"]) blanked out ({!routing_parts}, from the
+      server's own envelope scan {!Rvu_service.Envelope}), so retries of
+      the same scenario under fresh client ids still land on the same
+      shard;
     - worker responses come back with only the ["id"] and ["ctx"] value
       spans spliced ({!response_spans} / {!splice_response}), leaving the
       ["ok"]/["error"] body bytes — floats included — exactly as the
@@ -27,9 +29,11 @@
     safe defaults rather than raise. *)
 
 val routing_parts : string -> string list
-(** The line split into the byte runs {e between} the top-level ["id"],
-    ["timeout_ms"] and ["trace"] value spans — the shard-routing key fed
-    to {!Ring}.
+(** The line split into the byte runs {e between} the first top-level
+    ["id"], ["timeout_ms"] and ["trace"] value spans
+    ({!Rvu_service.Envelope.json}) — the shard-routing key fed to
+    {!Ring}; the whole line when the scan gives up (an escaped top-level
+    key, for one).
     For canonically-printed requests this is equivalent to keying on
     [Proto.canonical_key]; for exotic-but-equal spellings (extra
     whitespace, escaped field names) it may differ, which costs cache
@@ -76,7 +80,8 @@ val splice_response :
 
 val bin_routing_parts : string -> string list
 (** {!routing_parts} over a binary payload: the byte runs between the
-    top-level ["id"], ["timeout_ms"] and ["trace"] {e value} spans. *)
+    first top-level ["id"], ["timeout_ms"] and ["trace"] {e value} spans
+    ({!Rvu_service.Envelope.binary}). *)
 
 val bin_forward_parts : ?trace:string -> string -> string * string
 (** [(pre, post)] such that [pre ^ rid ^ post] — [rid] the 9-byte

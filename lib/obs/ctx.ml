@@ -9,13 +9,34 @@ type t = { cid : string; span : span option }
 let key : t option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
 let current () = Domain.DLS.get key
 
+(* No [Fun.protect]: its closures would land on every request. *)
 let with_ctx c f =
   let prev = Domain.DLS.get key in
   Domain.DLS.set key (Some c);
-  Fun.protect ~finally:(fun () -> Domain.DLS.set key prev) f
+  match f () with
+  | v ->
+      Domain.DLS.set key prev;
+      v
+  | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
+      Domain.DLS.set key prev;
+      Printexc.raise_with_backtrace e bt
 
 (* ------------------------------------------------------------------ *)
 (* Correlation ids *)
+
+(* Lowercase hex, zero-padded to 16 digits per 64-bit id, written
+   straight into the result string: a traced request mints three ids,
+   and a format string would cost several times the time and allocation
+   of the id itself. *)
+let hex_digits = "0123456789abcdef"
+
+let put_hex b off x =
+  for i = 0 to 15 do
+    Bytes.unsafe_set b (off + i)
+      hex_digits.[Int64.to_int (Int64.shift_right_logical x (60 - (4 * i)))
+                  land 15]
+  done
 
 (* Deterministic per process under the default seed so cram tests can pin
    the generated ids. *)
@@ -28,7 +49,10 @@ let set_seed s =
 
 let generate () =
   let n = Atomic.fetch_and_add counter 1 in
-  Printf.sprintf "c%016Lx" (Splitmix.nth (Atomic.get seed_state) n)
+  let b = Bytes.create 17 in
+  Bytes.set b 0 'c';
+  put_hex b 1 (Splitmix.nth (Atomic.get seed_state) n);
+  Bytes.unsafe_to_string b
 
 let derive = function
   | Wire.Int n -> "req-" ^ string_of_int n
@@ -51,11 +75,17 @@ let id_seed =
 
 let id_counter = Atomic.make 0
 
-let gen_span_id () =
-  Printf.sprintf "%016Lx"
-    (Splitmix.nth id_seed (Atomic.fetch_and_add id_counter 1))
+(* [n] consecutive ids of the stream as one hex string. *)
+let gen_hex n =
+  let b = Bytes.create (16 * n) in
+  for k = 0 to n - 1 do
+    put_hex b (16 * k)
+      (Splitmix.nth id_seed (Atomic.fetch_and_add id_counter 1))
+  done;
+  Bytes.unsafe_to_string b
 
-let gen_trace_id () = gen_span_id () ^ gen_span_id ()
+let gen_span_id () = gen_hex 1
+let gen_trace_id () = gen_hex 2
 
 let new_root () =
   { trace_id = gen_trace_id (); span_id = gen_span_id (); parent_id = None }

@@ -156,8 +156,10 @@ let gauge_add g x =
   end
 
 (* Index of the first bound >= x, i.e. the bucket x falls into; the
-   overflow bucket (length bounds) when x exceeds every bound. *)
-let bucket_index bounds x =
+   overflow bucket (length bounds) when x exceeds every bound. The
+   annotation matters: left polymorphic, every read boxed a float and
+   every comparison was a polymorphic compare. *)
+let bucket_index (bounds : float array) (x : float) =
   let n = Array.length bounds in
   if x <= bounds.(0) then 0
   else if x > bounds.(n - 1) then n

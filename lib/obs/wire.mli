@@ -48,6 +48,10 @@ val print : t -> string
 (** Compact single-line form — the NDJSON wire format and the cache key.
     Raises [Invalid_argument] on a non-finite float. *)
 
+val add_compact : Buffer.t -> t -> unit
+(** Append {!print}'s bytes to a buffer — for callers that splice a
+    printed value into bytes they assemble themselves. *)
+
 val print_hum : t -> string
 (** Two-space-indented multi-line form, for bench artifacts meant to be
     read by humans as well as machines. Same escaping and float rules as

@@ -11,6 +11,7 @@ type 'a entry = {
 type 'a t = {
   lock : Mutex.t;
   capacity : int;
+  mirror : bool; (* counts into the process-wide result-cache metrics *)
   table : (string, 'a entry) Hashtbl.t;
   mutable head : 'a entry option; (* most recently used *)
   mutable tail : 'a entry option; (* least recently used *)
@@ -27,8 +28,9 @@ type stats = {
   capacity : int;
 }
 
-(* Process-wide mirrors, aggregated over every LRU instance (in practice:
-   the scheduler's result cache) and cumulative since process start. *)
+(* Process-wide mirrors, aggregated over every mirrored instance (in
+   practice: the scheduler's result cache) and cumulative since process
+   start. *)
 let m_hits =
   Rvu_obs.Metrics.counter ~help:"Result-cache lookups answered from the LRU"
     "rvu_result_cache_hits_total"
@@ -41,11 +43,12 @@ let m_evictions =
   Rvu_obs.Metrics.counter ~help:"Result-cache LRU evictions"
     "rvu_result_cache_evictions_total"
 
-let create ~capacity =
+let make ~mirror ~capacity =
   if capacity < 0 then invalid_arg "Lru.create: negative capacity";
   {
     lock = Mutex.create ();
     capacity;
+    mirror;
     table = Hashtbl.create (max 16 capacity);
     head = None;
     tail = None;
@@ -53,6 +56,9 @@ let create ~capacity =
     misses = 0;
     evictions = 0;
   }
+
+let create ~capacity = make ~mirror:true ~capacity
+let create_private ~capacity = make ~mirror:false ~capacity
 
 let unlink t e =
   (match e.prev with Some p -> p.next <- e.next | None -> t.head <- e.next);
@@ -72,23 +78,34 @@ let locked t f =
 
 (* No [locked] here: the body cannot raise, and the closures [locked]'s
    [Fun.protect] costs would land on every warm-path lookup. *)
-let find (t : 'a t) key =
+let lookup ~count_miss (t : 'a t) key =
   Mutex.lock t.lock;
   let r =
     match Hashtbl.find_opt t.table key with
     | Some e ->
         t.hits <- t.hits + 1;
-        Rvu_obs.Metrics.incr m_hits;
+        if t.mirror then Rvu_obs.Metrics.incr m_hits;
         unlink t e;
         push_front t e;
         Some e.value
     | None ->
-        t.misses <- t.misses + 1;
-        Rvu_obs.Metrics.incr m_misses;
+        if count_miss then begin
+          t.misses <- t.misses + 1;
+          if t.mirror then Rvu_obs.Metrics.incr m_misses
+        end;
         None
   in
   Mutex.unlock t.lock;
   r
+
+let find t key = lookup ~count_miss:true t key
+let find_hit t key = lookup ~count_miss:false t key
+
+let length (t : 'a t) =
+  Mutex.lock t.lock;
+  let n = Hashtbl.length t.table in
+  Mutex.unlock t.lock;
+  n
 
 let add (t : 'a t) key value =
   if t.capacity > 0 then
@@ -108,7 +125,7 @@ let add (t : 'a t) key value =
               Hashtbl.remove t.table lru.key;
               unlink t lru;
               t.evictions <- t.evictions + 1;
-              Rvu_obs.Metrics.incr m_evictions
+              if t.mirror then Rvu_obs.Metrics.incr m_evictions
           | None -> assert false)
 
 let stats (t : 'a t) =

@@ -41,23 +41,24 @@ let bin t =
    [Wire.print (Proto.ok_response ~ctx ~id (body t))] because the compact
    printer is compositional (a subtree prints the same bytes in any
    context) — so warm JSON responses reuse the memoized body render
-   instead of re-printing the tree (and re-formatting every float). *)
+   instead of re-printing the tree (and re-formatting every float). The
+   envelope is assembled in the per-domain scratch buffer, so the only
+   allocation is the response string. *)
 let ok_json t ~ctx ~id =
   let ok = json t in
-  let b = Buffer.create (String.length ok + 64) in
-  Buffer.add_string b "{\"id\":";
-  Buffer.add_string b (Wire.print id);
-  Buffer.add_string b ",\"ctx\":";
-  Buffer.add_string b (Wire.print (Wire.String ctx));
-  Buffer.add_string b ",\"ok\":";
-  Buffer.add_string b ok;
-  Buffer.add_char b '}';
-  Buffer.contents b
+  Wire_bin.with_scratch (fun b ->
+      Buffer.add_string b "{\"id\":";
+      Wire.add_compact b id;
+      Buffer.add_string b ",\"ctx\":";
+      Wire.add_compact b (Wire.String ctx);
+      Buffer.add_string b ",\"ok\":";
+      Buffer.add_string b ok;
+      Buffer.add_char b '}')
 
 (* ------------------------------------------------------------------ *)
-(* Binary ok-envelope splices.
+(* Binary ok-envelope splice.
 
-   Both produce exactly
+   It produces exactly
    [Wire_bin.encode (Proto.ok_response ~ctx ~id (body t))] — the binary
    encoding is canonical and an object is its fields in order, so
    appending [id], [ctx] and the memoized [ok] bytes under a 3-member
@@ -71,17 +72,6 @@ let ok_bin t ~ctx ~id =
       Wire_bin.add_obj_header b 3;
       Wire_bin.add_key b "id";
       Wire_bin.add_value b id;
-      Wire_bin.add_key b "ctx";
-      Wire_bin.add_value b (Wire.String ctx);
-      Wire_bin.add_key b "ok";
-      Buffer.add_string b ok)
-
-let ok_bin_sub t ~ctx ~id_src ~id_pos ~id_len =
-  let ok = bin t in
-  Wire_bin.with_scratch (fun b ->
-      Wire_bin.add_obj_header b 3;
-      Wire_bin.add_key b "id";
-      Buffer.add_substring b id_src id_pos id_len;
       Wire_bin.add_key b "ctx";
       Wire_bin.add_value b (Wire.String ctx);
       Wire_bin.add_key b "ok";

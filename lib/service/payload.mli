@@ -31,10 +31,3 @@ val ok_bin : t -> ctx:string -> id:Wire.t -> string
     [Wire_bin.encode (Proto.ok_response ~ctx ~id (body t))], built by
     splicing the memoized body bytes under the 3-member envelope header
     instead of re-encoding the tree. *)
-
-val ok_bin_sub : t -> ctx:string -> id_src:string -> id_pos:int -> id_len:int -> string
-(** [ok_bin] with the id value bytes copied verbatim from
-    [id_src.[id_pos .. id_pos+id_len-1]] (an already-encoded binary id
-    value, e.g. the span {!Wire_bin.scan_request} found in the request
-    payload) — the server's frame-cache fast path echoes the id without
-    ever decoding it. *)

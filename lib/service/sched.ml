@@ -54,7 +54,9 @@ let now () = Unix.gettimeofday ()
 
 let in_flight t = Atomic.get t.in_flight
 
-let submit t (env : Proto.envelope) ~k =
+let cached t key = Lru.find_hit t.cache key
+
+let submit ?on_hit t (env : Proto.envelope) ~k =
   let key = Proto.canonical_key env.Proto.request in
   let shed () =
     Rvu_obs.Metrics.incr m_shed;
@@ -70,6 +72,7 @@ let submit t (env : Proto.envelope) ~k =
   match Lru.find t.cache key with
   | Some cached ->
       Rvu_obs.Phase.observe "cache" (Rvu_obs.Clock.now_s () -. t_submit);
+      Option.iter (fun f -> f key) on_hit;
       k (Ok cached)
   | None ->
       if Rvu_obs.Fault.fire fault_force_shed then shed ()

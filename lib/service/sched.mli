@@ -48,7 +48,8 @@ type outcome = (Payload.t, Proto.error_code * string) result
     renders (or splices) its own codec's bytes from the memoized forms
     instead of re-printing the tree per response. *)
 
-val submit : t -> Proto.envelope -> k:(outcome -> unit) -> unit
+val submit :
+  ?on_hit:(string -> unit) -> t -> Proto.envelope -> k:(outcome -> unit) -> unit
 (** Run the request and deliver the outcome to [k] exactly once — on the
     calling domain for cache hits and shed requests, on a worker domain
     otherwise. [k] must not raise (a raise from a worker task is swallowed
@@ -56,7 +57,16 @@ val submit : t -> Proto.envelope -> k:(outcome -> unit) -> unit
     the caller's ambient {!Rvu_obs.Ctx} context: the worker pool carries
     it across the domain hop. Shed and timed-out requests are logged at
     [warn] level. {!Proto.Stats} requests must not be submitted here — the
-    server answers them directly. *)
+    server answers them directly.
+
+    [on_hit] is called with the request's canonical key, on the calling
+    domain just before [k], when the result cache answered — the server
+    files its frame-cache entries from it. *)
+
+val cached : t -> string -> Payload.t option
+(** The result-cache entry under a canonical key, counted (in
+    {!cache_stats} and the result-cache metrics) as a hit when found; a
+    miss is left uncounted for the {!submit} that follows it. *)
 
 val cache_stats : t -> Lru.stats
 val jobs : t -> int

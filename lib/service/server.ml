@@ -23,18 +23,23 @@ let default_config =
 let fault_torn_frame = Rvu_obs.Fault.site "server.torn_frame"
 let fault_drop_conn = Rvu_obs.Fault.site "server.drop_conn"
 
-(* A frame-cache entry: the memoized ok payload plus the kind label the
-   fast path files latency metrics under (the hit never decodes the
-   request, so the kind must ride along). *)
-type cached_frame = { f_kind : string; f_ok : Payload.t }
+(* A frame-cache entry: where the answer lives (the request's canonical
+   key in the scheduler's result cache) plus what the hit path files
+   under (the kind label and its latency histogram), since a hit never
+   decodes the request. *)
+type cached_frame = {
+  f_kind : string;
+  f_key : string;
+  f_seconds : Rvu_obs.Metrics.histogram;
+}
 
 type t = {
   sched : Sched.t;
   frames : cached_frame Lru.t;
-      (* binary fast path: keyed on the request payload bytes with the id
-         member excised, filled on every scheduler [Ok] for a cacheable
-         binary request. A hit splices the response from memoized bytes
-         without decoding anything. *)
+      (* keyed on the request bytes with the id and trace values excised
+         ({!Envelope.key}), on both wires; filled when the slow path was
+         answered from the result cache. A hit splices the response from
+         memoized bytes without decoding the request. *)
   config : config;
   lock : Mutex.t;
   idle : Condition.t;
@@ -51,7 +56,7 @@ let create ?(config = default_config) () =
     sched =
       Sched.create ~jobs:config.jobs ~queue_depth:config.queue_depth
         ~cache_entries:config.cache_entries ?timeout_ms:config.timeout_ms ();
-    frames = Lru.create ~capacity:config.cache_entries;
+    frames = Lru.create_private ~capacity:config.cache_entries;
     config;
     lock = Mutex.create ();
     idle = Condition.create ();
@@ -292,17 +297,23 @@ let request_context id trace =
        else None);
   }
 
+let phase_cache = lazy (Rvu_obs.Phase.seconds "cache")
+
 (* Close out a request under its context: file its wall time (the span
    context makes the observation exemplar-bearing), emit the per-request
    "serve" complete span, and — when the request blew the [--slow-ms]
    budget — force-retain its trace id so the evidence survives ring
-   wrap. *)
-let finish_request t ~kind ~(ctx : Rvu_obs.Ctx.t) ~t0 =
+   wrap. A frame-cache hit is all cache phase, and its span says so. *)
+let finish_request t ~kind ~seconds ~frame ~(ctx : Rvu_obs.Ctx.t) ~t0 =
   let dt = Rvu_obs.Clock.now_s () -. t0 in
-  Rvu_obs.Metrics.observe (request_seconds kind) dt;
-  Rvu_obs.Trace.complete
-    ~args:[ ("kind", Wire.String kind) ]
-    ~ts_us:(t0 *. 1e6) ~dur_us:(dt *. 1e6) "serve";
+  Rvu_obs.Metrics.observe seconds dt;
+  if frame then Rvu_obs.Metrics.observe (Lazy.force phase_cache) dt;
+  if Rvu_obs.Trace.enabled () then
+    Rvu_obs.Trace.complete
+      ~args:
+        (("kind", Wire.String kind)
+        :: (if frame then [ ("cache", Wire.String "frame") ] else []))
+      ~ts_us:(t0 *. 1e6) ~dur_us:(dt *. 1e6) "serve";
   match (t.config.slow_ms, ctx.span) with
   | Some budget, Some sc when dt *. 1000.0 > budget ->
       Rvu_obs.Trace.retain ~trace_id:sc.Rvu_obs.Ctx.trace_id;
@@ -316,27 +327,33 @@ let finish_request t ~kind ~(ctx : Rvu_obs.Ctx.t) ~t0 =
         "slow request: trace retained"
   | _ -> ()
 
+let log_request kind =
+  if Rvu_obs.Log.enabled Rvu_obs.Log.Debug then
+    Rvu_obs.Log.debug ~fields:[ ("kind", Wire.String kind) ] "request"
+
 (* The shared post-decode path: sync kinds are answered in place, the
    rest go through the scheduler. The request context is installed once,
    here: the scheduler's continuation runs either on this domain (cache
    hits, sheds) or on a pool worker, which re-installs the same context.
-   [frame_key] (set by the binary fast path on a frame-cache miss) files
-   the ok payload under the request's envelope-excised frame bytes so the
-   next identical frame skips decoding. *)
-let handle_env ?frame_key ~wire t env ~respond =
+   [fill] (set when the request could be a frame-cache hit next time)
+   yields its frame key; when the result cache answers, the key is filed
+   in the frame cache with the canonical key, so the next request with
+   the same bytes outside its id and trace skips decoding. *)
+let handle_env ?fill ~wire t env ~respond =
   let c = request_context env.Proto.id env.Proto.trace in
   let ctx = c.Rvu_obs.Ctx.cid in
   let kind = Proto.kind_string env.Proto.request in
+  let seconds = request_seconds kind in
   Rvu_obs.Ctx.with_ctx c (fun () ->
       let t0 = Rvu_obs.Clock.now_s () in
-      Rvu_obs.Log.debug ~fields:[ ("kind", Wire.String kind) ] "request";
+      log_request kind;
       let sync body =
         count t `Ok;
         respond
           (Rvu_obs.Phase.time "encode" (fun () ->
                render_ok_body ~wire ~ctx ~id:env.Proto.id body));
         log_response ~kind ~t0 (Ok ());
-        finish_request t ~kind ~ctx:c ~t0
+        finish_request t ~kind ~seconds ~frame:false ~ctx:c ~t0
       in
       match env.Proto.request with
       | Proto.Stats -> sync (stats_json t)
@@ -360,15 +377,18 @@ let handle_env ?frame_key ~wire t env ~respond =
             (render_error ~wire ~ctx ~id:env.Proto.id Proto.Invalid_request msg)
       | _ ->
           enter t;
-          Sched.submit t.sched env ~k:(fun outcome ->
+          let on_hit =
+            Option.map
+              (fun fill key ->
+                Lru.add t.frames (fill ())
+                  { f_kind = kind; f_key = key; f_seconds = seconds })
+              fill
+          in
+          Sched.submit ?on_hit t.sched env ~k:(fun outcome ->
               let response =
                 match outcome with
                 | Ok p ->
                     count t `Ok;
-                    (match frame_key with
-                    | Some key ->
-                        Lru.add t.frames key { f_kind = kind; f_ok = p }
-                    | None -> ());
                     Rvu_obs.Phase.time "encode" (fun () ->
                         render_ok_payload ~wire ~ctx ~id:env.Proto.id p)
                 | Error (code, msg) ->
@@ -380,13 +400,13 @@ let handle_env ?frame_key ~wire t env ~respond =
               in
               (try respond response with _ -> ());
               log_response ~kind ~t0 (Result.map (fun _ -> ()) outcome);
-              finish_request t ~kind ~ctx:c ~t0;
+              finish_request t ~kind ~seconds ~frame:false ~ctx:c ~t0;
               leave t))
 
 (* Decoded but not yet validated: reject with the id salvaged if the
    envelope carried a usable one, so even a rejected request can be
    matched by its client. *)
-let handle_wire ?frame_key ~wire t w ~respond =
+let handle_wire ?fill ~wire t w ~respond =
   match Proto.request_of_wire w with
   | Error msg ->
       let id =
@@ -399,7 +419,7 @@ let handle_wire ?frame_key ~wire t w ~respond =
           count t `Error;
           Rvu_obs.Log.warn ~fields:[ ("error", Wire.String msg) ] "request invalid";
           respond (render_error ~wire ~ctx ~id Proto.Invalid_request msg))
-  | Ok env -> handle_env ?frame_key ~wire t env ~respond
+  | Ok env -> handle_env ?fill ~wire t env ~respond
 
 let reject_parse ~wire t msg ~respond =
   let ctx = Rvu_obs.Ctx.generate () in
@@ -420,148 +440,113 @@ let reject_oversized ~wire ~noun t bytes ~respond =
            (Printf.sprintf "request %s of %d bytes exceeds the %d byte limit"
               noun bytes t.config.max_request_bytes)))
 
-let handle_line t line ~respond =
-  let line =
+let decode ~wire bytes =
+  match wire with
+  | Wire_bin.Json -> Result.map_error Wire.error_to_string (Wire.parse bytes)
+  | Wire_bin.Binary -> Wire_bin.decode bytes
+
+let handle_slow ?fill ~wire t bytes ~respond =
+  match decode ~wire bytes with
+  | Error msg -> reject_parse ~wire t msg ~respond
+  | Ok w -> handle_wire ?fill ~wire t w ~respond
+
+(* The excised id and trace of a frame-cache hit, read as the slow path
+   would read them: [None] when the slow path would reject either (it
+   then answers the request itself, with the exact error). An id must be
+   null, an integer or a string; a trace of any other shape than a
+   string is valid and ignored. *)
+let excised ~wire bytes (scan : Envelope.scan) =
+  let value ((start, stop) as span) =
+    match wire with
+    | Wire_bin.Json -> Envelope.json_value bytes span
+    | Wire_bin.Binary ->
+        Result.to_option
+          (Wire_bin.decode_span bytes ~pos:start ~len:(stop - start))
+  in
+  match
+    match scan.Envelope.id_value with
+    | None -> Some Wire.Null
+    | Some span -> value span
+  with
+  | Some ((Wire.Null | Wire.Int _ | Wire.String _) as id) -> (
+      match scan.Envelope.trace_value with
+      | None -> Some (id, None)
+      | Some span -> (
+          match value span with
+          | Some (Wire.String tp) -> Some (id, Some tp)
+          | Some _ -> Some (id, None)
+          | None -> None))
+  | Some _ | None -> None
+
+(* A frame-cache hit: the answer is spliced from the result cache's
+   memoized body bytes, with the id re-rendered from its parsed value
+   (so [007] answers as [7], as the slow path answers it). *)
+let serve_hit ~wire t f p ~id ~trace ~respond =
+  let c = request_context id trace in
+  let ctx = c.Rvu_obs.Ctx.cid in
+  Rvu_obs.Ctx.with_ctx c (fun () ->
+      let t0 = Rvu_obs.Clock.now_s () in
+      log_request f.f_kind;
+      count t `Ok;
+      (try respond (render_ok_payload ~wire ~ctx ~id p) with _ -> ());
+      log_response ~kind:f.f_kind ~t0 (Ok ());
+      finish_request t ~kind:f.f_kind ~seconds:f.f_seconds ~frame:true ~ctx:c
+        ~t0)
+
+(* Both wires take one path. The envelope scan finds the id, trace and
+   timeout spans; a request with a [timeout_ms] member, or one the scan
+   gives up on, takes the slow path and never enters the frame cache.
+   While the frame cache is empty, as it stays under a stream of one-shot
+   requests, nothing more is done before the slow path. Otherwise the
+   excised values are read first (a request the slow path would reject
+   goes there without a lookup), then the frame key is looked up; a hit
+   whose result is still cached is answered without decoding, and
+   anything else decodes with the frame-cache fill armed. *)
+let handle_request ~wire t bytes ~respond =
+  match
+    match wire with
+    | Wire_bin.Json -> Envelope.json bytes
+    | Wire_bin.Binary -> Envelope.binary bytes
+  with
+  | Some ({ Envelope.timeout_value = None; _ } as scan) ->
+      if Lru.length t.frames = 0 then
+        handle_slow ~fill:(fun () -> Envelope.key bytes scan) ~wire t bytes
+          ~respond
+      else begin
+        match excised ~wire bytes scan with
+        | None -> handle_slow ~wire t bytes ~respond
+        | Some (id, trace) -> (
+            let key = Envelope.key bytes scan in
+            match Lru.find t.frames key with
+            | None -> handle_slow ~fill:(fun () -> key) ~wire t bytes ~respond
+            | Some f -> (
+                match Sched.cached t.sched f.f_key with
+                | Some p -> serve_hit ~wire t f p ~id ~trace ~respond
+                | None ->
+                    handle_slow ~fill:(fun () -> key) ~wire t bytes ~respond))
+      end
+  | Some _ | None -> handle_slow ~wire t bytes ~respond
+
+let handle ~wire t bytes ~respond =
+  let bytes =
     (* Injected torn frame: the transport delivered only a prefix of the
-       request. A strict prefix of a JSON object is invalid, so this must
-       fall into the parse-error path below, never crash or hang. *)
+       request. A strict prefix of a JSON object is invalid, and a prefix
+       of a binary value promises bytes that never come, so this must
+       fall into the parse-error path, never crash, hang or desync. *)
     if Rvu_obs.Fault.fire fault_torn_frame then
-      String.sub line 0 (String.length line / 2)
-    else line
+      String.sub bytes 0 (String.length bytes / 2)
+    else bytes
   in
-  if String.length line > t.config.max_request_bytes then
-    reject_oversized ~wire:Wire_bin.Json ~noun:"line" t (String.length line)
-      ~respond
-  else
-    match Wire.parse line with
-    | Error e ->
-        reject_parse ~wire:Wire_bin.Json t (Wire.error_to_string e) ~respond
-    | Ok w -> handle_wire ~wire:Wire_bin.Json t w ~respond
+  if String.length bytes > t.config.max_request_bytes then
+    reject_oversized ~wire
+      ~noun:(match wire with Wire_bin.Json -> "line" | Wire_bin.Binary -> "frame")
+      t (String.length bytes) ~respond
+  else handle_request ~wire t bytes ~respond
 
-(* ------------------------------------------------------------------ *)
-(* The binary request path *)
-
-(* The frame-cache key: the request payload with the first id and trace
-   members excised (key length prefix through value end). The id differs
-   per pipelined request and the trace member per routed request — a
-   tracing router stamps a fresh span context on every forward, so
-   leaving it in the key would defeat the cache entirely. The member
-   count byte is left as sent, so an id-less request can never share a
-   key with an id-carrying one, and any non-envelope difference — field
-   order, spelling, extra members — keys separately (harmless
-   fragmentation; the scheduler's canonical cache still unifies the
-   compute). *)
-let frame_key payload (scan : Wire_bin.request_scan) =
-  let cuts =
-    List.sort compare
-      (List.filter_map Fun.id
-         [ scan.Wire_bin.id_member; scan.Wire_bin.trace_member ])
-  in
-  match cuts with
-  | [] -> payload
-  | cuts ->
-      let b = Buffer.create (String.length payload) in
-      let pos =
-        List.fold_left
-          (fun pos (mstart, mend) ->
-            Buffer.add_substring b payload pos (mstart - pos);
-            mend)
-          0 cuts
-      in
-      Buffer.add_substring b payload pos (String.length payload - pos);
-      Buffer.contents b
-
-(* Decode and run a binary payload the long way (mirrors [handle_line]
-   after the line-level concerns). *)
-let handle_payload_slow ?frame_key t payload ~respond =
-  match Wire_bin.decode payload with
-  | Error msg -> reject_parse ~wire:Wire_bin.Binary t msg ~respond
-  | Ok w -> handle_wire ?frame_key ~wire:Wire_bin.Binary t w ~respond
+let handle_line t line ~respond = handle ~wire:Wire_bin.Json t line ~respond
 
 let handle_payload t payload ~respond =
-  let payload =
-    (* Injected torn frame: a prefix of a binary value is malformed (its
-       headers promise bytes that never come), so this must fall into the
-       parse-error path, never crash or desync. *)
-    if Rvu_obs.Fault.fire fault_torn_frame then
-      String.sub payload 0 (String.length payload / 2)
-    else payload
-  in
-  if String.length payload > t.config.max_request_bytes then
-    reject_oversized ~wire:Wire_bin.Binary ~noun:"frame" t
-      (String.length payload) ~respond
-  else
-    (* Warm fast path: a well-formed envelope whose id is echoable
-       ([null]/int/string — anything else is invalid and must take the
-       slow path to be rejected) and that carries no per-request timeout
-       is looked up by its id-excised bytes. A hit answers from memoized
-       bytes without decoding anything; a miss decodes and arms the
-       cache fill. *)
-    let fast =
-      match Wire_bin.scan_request payload with
-      | Some scan when not scan.Wire_bin.has_timeout -> (
-          match scan.Wire_bin.id_value with
-          | None -> Some (scan, Wire.Null)
-          | Some (vstart, vend) -> (
-              match
-                if
-                  payload.[vstart] = '\x00'
-                  || payload.[vstart] = '\x03'
-                  || payload.[vstart] = '\x05'
-                then
-                  Wire_bin.decode_span payload ~pos:vstart ~len:(vend - vstart)
-                else Error "id not echoable"
-              with
-              | Ok id -> Some (scan, id)
-              | Error _ -> None))
-      | _ -> None
-    in
-    match fast with
-    | None -> handle_payload_slow t payload ~respond
-    | Some (scan, id) -> (
-        let key = frame_key payload scan in
-        match Lru.find t.frames key with
-        | None -> handle_payload_slow ~frame_key:key t payload ~respond
-        | Some { f_kind; f_ok } ->
-            (* With tracing off this decodes nothing (one branch); with it
-               on, the propagated trace value — a binary String span the
-               scan located — is decoded so the hit's serve span joins the
-               router's trace. *)
-            let trace =
-              match scan.Wire_bin.trace_value with
-              | Some (vstart, vend) when Rvu_obs.Trace.enabled () -> (
-                  match
-                    Wire_bin.decode_span payload ~pos:vstart
-                      ~len:(vend - vstart)
-                  with
-                  | Ok (Wire.String tp) -> Some tp
-                  | Ok _ | Error _ -> None)
-              | _ -> None
-            in
-            let c = request_context id trace in
-            let ctx = c.Rvu_obs.Ctx.cid in
-            Rvu_obs.Ctx.with_ctx c (fun () ->
-                let t0 = Rvu_obs.Clock.now_s () in
-                count t `Ok;
-                let response =
-                  match scan.Wire_bin.id_value with
-                  | Some (vstart, vend) ->
-                      Payload.ok_bin_sub f_ok ~ctx ~id_src:payload
-                        ~id_pos:vstart ~id_len:(vend - vstart)
-                  | None -> Payload.ok_bin f_ok ~ctx ~id
-                in
-                (try respond response with _ -> ());
-                log_response ~kind:f_kind ~t0 (Ok ());
-                let dt = Rvu_obs.Clock.now_s () -. t0 in
-                Rvu_obs.Metrics.observe (request_seconds f_kind) dt;
-                Rvu_obs.Phase.observe "cache" dt;
-                Rvu_obs.Trace.complete
-                  ~args:
-                    [
-                      ("kind", Wire.String f_kind);
-                      ("cache", Wire.String "frame");
-                    ]
-                  ~ts_us:(t0 *. 1e6) ~dur_us:(dt *. 1e6) "serve"))
+  handle ~wire:Wire_bin.Binary t payload ~respond
 
 let await handle =
   let lock = Mutex.create () in

@@ -70,7 +70,13 @@ val handle_line : t -> string -> respond:(string -> unit) -> unit
 (** Process one request line. [respond] is called exactly once with the
     response line (no trailing newline) — synchronously for parse errors,
     stats, cache hits and shed requests; from a worker domain otherwise.
-    [respond] must be domain-safe and must not raise. *)
+    [respond] must be domain-safe and must not raise.
+
+    Warm repeats of a cacheable request — the same bytes apart from the
+    [id] and [trace] values, no [timeout_ms] member — are answered from
+    the frame cache: the line is scanned ({!Envelope.json}), not parsed,
+    and the memoized result bytes are spliced under a fresh envelope.
+    The answer is byte-identical to the one the full parse gives. *)
 
 val handle_sync : t -> string -> string
 (** [handle_line] plus blocking until the response arrives. *)
@@ -84,17 +90,22 @@ val handle_payload : t -> string -> respond:(string -> unit) -> unit
 (** The binary-path analogue of {!handle_line}: process one decoded
     frame payload ({!Wire_bin}, length prefix already stripped);
     [respond] is called exactly once with the response payload (no
-    length prefix — the transport frames it). Warm repeats of a
-    cacheable request are answered from the frame cache by splicing
-    memoized bytes, without decoding the payload. *)
+    length prefix — the transport frames it). Warm repeats take the same
+    frame-cache path as {!handle_line}'s, scanned by {!Envelope.binary}
+    instead of decoded. *)
 
 val handle_payload_sync : t -> string -> string
 (** [handle_payload] plus blocking until the response arrives. *)
 
 val frame_cache_stats : t -> Lru.stats
-(** Counters of the binary-path frame cache (hits answer without
-    decoding; misses fall through to the full decode path and arm the
-    fill). *)
+(** Counters of the frame cache both wires share: a hit is a lookup that
+    found an entry (its answer is spliced without decoding, unless the
+    result cache has since evicted the result); a miss falls through to
+    the full decode path and arms the fill. Entries are filed only when
+    that path is answered from the result cache. These counters never
+    reach the process-wide result-cache metrics ({!Lru.create_private}),
+    which count each request's result-cache lookup once, on either
+    path. *)
 
 val wait_idle : t -> unit
 (** Block until no submitted request is outstanding. *)

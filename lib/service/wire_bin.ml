@@ -16,7 +16,7 @@
      binary-equals-json differential oracle.
    - {e Cheap to skip.} Every value's extent is computable from its
      header without building anything, so the server's warm fast path and
-     the router scan envelopes allocation-free ({!scan_request}). *)
+     the router scan envelopes without decoding them ({!scan_request}). *)
 
 type mode = Json | Binary
 
@@ -115,8 +115,6 @@ exception Malformed of string
 
 let fail fmt = Printf.ksprintf (fun m -> raise (Malformed m)) fmt
 
-(* No inner helper closure: the skip/scan paths call this per member and
-   must stay allocation-free. *)
 let get_u32 s pos =
   if pos + 4 > String.length s then fail "offset %d: truncated length" pos;
   (Char.code s.[pos] lsl 24)
@@ -190,8 +188,9 @@ let decode s =
   | exception Malformed msg -> Error msg
 
 (* [decode_span s ~pos ~len] decodes the single value occupying exactly
-   [s.[pos .. pos+len-1]] — how the server materialises just the id value
-   out of a span {!scan_request} found, without decoding the rest. *)
+   [s.[pos .. pos+len-1]] — how the server materialises just the id and
+   trace values out of spans {!scan_request} found, without decoding the
+   rest. *)
 let decode_span s ~pos ~len =
   match decode_value s pos with
   | v, next ->
@@ -201,146 +200,15 @@ let decode_span s ~pos ~len =
   | exception Malformed msg -> Error msg
 
 (* ------------------------------------------------------------------ *)
-(* Skipping (no construction) *)
+(* Request-envelope scan (one scan for both wires: {!Envelope}) *)
 
-(* [skip_value s pos] is [snd (decode_value s pos)] without building the
-   value — the envelope scanners below walk whole payloads with zero
-   allocation. *)
-let rec skip_value s pos =
-  let n = String.length s in
-  if pos >= n then fail "offset %d: truncated value" pos;
-  let tag = s.[pos] in
-  let pos = pos + 1 in
-  if tag = tag_null || tag = tag_false || tag = tag_true then pos
-  else if tag = tag_int || tag = tag_float then begin
-    if pos + 8 > n then fail "offset %d: truncated 64-bit value" pos;
-    pos + 8
-  end
-  else if tag = tag_string then begin
-    let len = get_u32 s pos in
-    let pos = pos + 4 + len in
-    if pos > n then fail "offset %d: truncated string" pos;
-    pos
-  end
-  else if tag = tag_list then begin
-    let count = get_u32 s pos in
-    skip_values s (pos + 4) count
-  end
-  else if tag = tag_obj then begin
-    let count = get_u32 s pos in
-    skip_members s n (pos + 4) count
-  end
-  else fail "offset %d: unknown tag 0x%02x" (pos - 1) (Char.code tag)
-
-(* Tail-recursive (and parameter-passing, not ref-based: the warm fast
-   path scans every request with these and must not allocate). *)
-and skip_values s pos count =
-  if count = 0 then pos else skip_values s (skip_value s pos) (count - 1)
-
-and skip_members s n pos count =
-  if count = 0 then pos
-  else begin
-    let klen = get_u32 s pos in
-    let kstart = pos + 4 + klen in
-    if kstart > n then fail "offset %d: truncated key" pos;
-    skip_members s n (skip_value s kstart) (count - 1)
-  end
-
-(* [iter_members s f] walks the top-level members of an object payload,
-   calling [f key_start klen vstart vend] per member (spans are byte
-   offsets into [s]; the member extends from [key_start] to [vend]).
-   Raises [Malformed] on anything that is not a well-formed object. *)
-let rec iter_members_from s n f pos count =
-  if count = 0 then begin
-    if pos <> n then fail "offset %d: trailing bytes" pos
-  end
-  else begin
-    let klen = get_u32 s pos in
-    let kstart = pos + 4 in
-    if kstart + klen > n then fail "offset %d: truncated key" pos;
-    let vstart = kstart + klen in
-    let vend = skip_value s vstart in
-    f pos klen vstart vend;
-    iter_members_from s n f vend (count - 1)
-  end
-
-let iter_members s f =
-  let n = String.length s in
-  if n = 0 || s.[0] <> tag_obj then fail "offset 0: not an object";
-  iter_members_from s n f 5 (get_u32 s 1)
-
-(* Top-level recursion (not an inner closure) so a key comparison on the
-   warm fast path allocates nothing. *)
-let rec key_eq s kstart klen lit i =
-  i >= klen || (s.[kstart + 4 + i] = lit.[i] && key_eq s kstart klen lit (i + 1))
-
-let key_is s kstart klen lit =
-  klen = String.length lit && key_eq s kstart klen lit 0
-
-(* ------------------------------------------------------------------ *)
-(* Request-envelope scan (the server's warm fast path) *)
-
-type request_scan = {
-  id_member : (int * int) option;
-      (** byte span of the whole ["id"] member (key length prefix through
-          value end); [None] when the request carries no id *)
-  id_value : (int * int) option;  (** byte span of the ["id"] value alone *)
-  id_tag : char;  (** tag byte of the id value; {!tag_null} when absent *)
-  has_timeout : bool;  (** a ["timeout_ms"] member is present *)
-  trace_member : (int * int) option;
-      (** byte span of the whole ["trace"] member; [None] when absent *)
+type request_scan = Envelope.scan = {
+  id_value : (int * int) option;
   trace_value : (int * int) option;
-      (** byte span of the ["trace"] value alone *)
+  timeout_value : (int * int) option;
 }
 
-(* The member walk threads its findings as immediate parameters (-1
-   sentinels instead of options) so the only allocation is the one
-   result record at the end — this runs per request on the warm path. *)
-let rec scan_members s n pos count ~im_start ~im_end ~iv_start ~iv_end ~id_tag
-    ~has_timeout ~tm_start ~tm_end ~tv_start ~tv_end =
-  if count = 0 then begin
-    if pos <> n then fail "offset %d: trailing bytes" pos;
-    {
-      id_member = (if im_start < 0 then None else Some (im_start, im_end));
-      id_value = (if im_start < 0 then None else Some (iv_start, iv_end));
-      id_tag;
-      has_timeout;
-      trace_member = (if tm_start < 0 then None else Some (tm_start, tm_end));
-      trace_value = (if tm_start < 0 then None else Some (tv_start, tv_end));
-    }
-  end
-  else begin
-    let klen = get_u32 s pos in
-    let kstart = pos + 4 in
-    if kstart + klen > n then fail "offset %d: truncated key" pos;
-    let vstart = kstart + klen in
-    let vend = skip_value s vstart in
-    if im_start < 0 && key_is s pos klen "id" then
-      scan_members s n vend (count - 1) ~im_start:pos ~im_end:vend
-        ~iv_start:vstart ~iv_end:vend ~id_tag:s.[vstart] ~has_timeout
-        ~tm_start ~tm_end ~tv_start ~tv_end
-    else if tm_start < 0 && key_is s pos klen "trace" then
-      scan_members s n vend (count - 1) ~im_start ~im_end ~iv_start ~iv_end
-        ~id_tag ~has_timeout ~tm_start:pos ~tm_end:vend ~tv_start:vstart
-        ~tv_end:vend
-    else
-      scan_members s n vend (count - 1) ~im_start ~im_end ~iv_start ~iv_end
-        ~id_tag
-        ~has_timeout:(has_timeout || key_is s pos klen "timeout_ms")
-        ~tm_start ~tm_end ~tv_start ~tv_end
-  end
-
-let scan_request s =
-  match
-    if String.length s = 0 || s.[0] <> tag_obj then
-      fail "offset 0: not an object";
-    scan_members s (String.length s) 5 (get_u32 s 1) ~im_start:(-1)
-      ~im_end:(-1) ~iv_start:(-1) ~iv_end:(-1) ~id_tag:tag_null
-      ~has_timeout:false ~tm_start:(-1) ~tm_end:(-1) ~tv_start:(-1)
-      ~tv_end:(-1)
-  with
-  | scan -> Some scan
-  | exception Malformed _ -> None
+let scan_request = Envelope.binary
 
 (* ------------------------------------------------------------------ *)
 (* Framing *)

@@ -13,7 +13,7 @@
       encode (like {!Wire.print}) and on decode, so any payload
       expressible in one codec is expressible in the other.
     - {b Skippable}: a value's extent follows from its header, so
-      envelope scans ({!scan_request}) allocate nothing. *)
+      envelope scans ({!scan_request}) build no value. *)
 
 type mode = Json | Binary
 (** The per-connection wire mode. Every connection starts in [Json]; a
@@ -55,43 +55,22 @@ val decode : string -> (Wire.t, string) result
     the byte offset of the defect (truncation, unknown tag, non-finite
     float, trailing bytes). *)
 
-val iter_members : string -> (int -> int -> int -> int -> unit) -> unit
-(** [iter_members s f] walks the top-level members of an object payload,
-    calling [f key_pos key_len value_start value_end] per member (byte
-    offsets into [s]; the key bytes start at [key_pos + 4], after the
-    length prefix). Allocation-free. Raises an internal exception on
-    anything that is not one well-formed object — callers wrap it and
-    degrade (see {!scan_request} for the total version). *)
-
-val key_is : string -> int -> int -> string -> bool
-(** [key_is s key_pos key_len lit] — does the member key at
-    [key_pos]/[key_len] (as reported by {!iter_members}) spell [lit]?
-    Allocation-free. *)
-
 val decode_span : string -> pos:int -> len:int -> (Wire.t, string) result
 (** Decode the one value occupying exactly [s.[pos .. pos+len-1]] — used
-    with the spans {!scan_request} returns to materialise just the id
-    value of a request payload. *)
+    with the spans {!scan_request} returns to materialise just the id and
+    trace values of a request payload. *)
 
-type request_scan = {
-  id_member : (int * int) option;
-      (** span of the first ["id"] member, key-length prefix through value
-          end — the bytes removed to form the frame-cache key *)
-  id_value : (int * int) option;  (** span of the ["id"] value alone *)
-  id_tag : char;  (** first byte of the id value; [0x00] when absent *)
-  has_timeout : bool;
-  trace_member : (int * int) option;
-      (** span of the first ["trace"] member (the router's per-request
-          trace context) — also excised from the frame-cache key, since
-          it differs on every request *)
-  trace_value : (int * int) option;  (** span of the ["trace"] value *)
+type request_scan = Envelope.scan = {
+  id_value : (int * int) option;
+  trace_value : (int * int) option;
+  timeout_value : (int * int) option;
 }
 
 val scan_request : string -> request_scan option
-(** Allocation-free envelope scan of an encoded request payload: [None]
-    unless the payload is one well-formed top-level object. The warm
-    fast path uses this to key the frame cache on the payload with the id
-    member excised, without decoding anything. *)
+(** {!Envelope.binary}: the envelope scan of an encoded request payload,
+    [None] unless the payload is one well-formed top-level object. The
+    server keys its frame cache on what it finds, without decoding
+    anything. *)
 
 (** {1 Framing}
 

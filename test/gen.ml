@@ -268,3 +268,150 @@ let proto_compute_request_gen =
            { attrs; d_lo; d_hi = d_lo +. width; points; bearing; r; horizon = 1e8 })
     in
     oneof [ simulate; search; feasibility; bound; schedule; batch ])
+
+(* ------------------------------------------------------------------ *)
+(* Request spellings (the frame-cache differential) *)
+
+(* Cheap cacheable requests. Bounds keep τ at least 0.1 from 1: closer,
+   Theorem 3's round count overflows the bound time to infinity, which
+   no wire can print. *)
+let cheap_request_gen =
+  let module Proto = Rvu_service.Proto in
+  QCheck.Gen.(
+    let bound =
+      let* v = float_range 0.6 2.2 in
+      let* tau = oneof [ float_range 0.5 0.9; float_range 1.1 2.0 ] in
+      let* phi = float_range 0.0 6.2 in
+      let* d = float_range 0.8 3.0 in
+      return
+        (Proto.Bound
+           { attrs = Rvu_core.Attributes.make ~v ~tau ~phi (); d; r = 0.2 })
+    in
+    oneof
+      [
+        map (fun a -> Proto.Feasibility a) attributes_gen;
+        map (fun n -> Proto.Schedule n) (int_range 1 4);
+        bound;
+      ])
+
+(* A JSON spelling: each member's raw key text (between the quotes) and
+   raw value, and the whitespace between tokens. *)
+type spelling = { members : (string * string) list; ws : string array }
+
+(* Envelope values: canonical, non-canonical and malformed ids and
+   traces. [malformed_values] are the ones no parser accepts, and
+   [echoable_ids] the ids the protocol echoes. *)
+let spelling_ids =
+  [ "1"; "42"; "007"; "-0"; "-12"; "1.0"; "1e2"; {|"a\/b"|}; {|"q7"|}; "null";
+    "99999999999999999999"; "true"; "[1]"; {|{"a":1}|}; "1e999"; {|"\uD800"|};
+    "[1,}"; "tru" ]
+
+let spelling_traces =
+  [ {|"00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01"|}; {|"nope"|};
+    "7"; "null"; "[1,2]"; {|{"x":"y"}|}; {|"A"|}; {|"\uDC00"|}; "1e999";
+    "[1,}" ]
+
+let malformed_values = [ "1e999"; {|"\uD800"|}; {|"\uDC00"|}; "[1,}"; "tru" ]
+let echoable_ids = [ "1"; "42"; "007"; "-0"; "-12"; {|"a\/b"|}; {|"q7"|}; "null" ]
+
+(* Random whitespace and member order; an id and a trace most of the
+   time, sometimes duplicated, sometimes under an escaped key; now and
+   then an escaped "kind" key or a timeout. *)
+let spelling_gen =
+  let module Wire = Rvu_service.Wire in
+  QCheck.Gen.(
+    let* request = cheap_request_gen in
+    let body =
+      match Rvu_service.Proto.wire_of_request request with
+      | Wire.Obj fields -> List.map (fun (k, v) -> (k, Wire.print v)) fields
+      | _ -> assert false
+    in
+    let opt g = frequency [ (1, return []); (3, map (fun x -> [ x ]) g) ] in
+    let rare g = frequency [ (6, return []); (1, map (fun x -> [ x ]) g) ] in
+    let* id = opt (oneofl spelling_ids) in
+    let* id_key = frequency [ (6, return "id"); (1, return {|\u0069d|}) ] in
+    let* id2 = rare (oneofl spelling_ids) in
+    let* trace = opt (oneofl spelling_traces) in
+    let* trace_key =
+      frequency [ (6, return "trace"); (1, return {|tr\u0061ce|}) ]
+    in
+    let* trace2 = rare (oneofl spelling_traces) in
+    let* timeout = rare (oneofl [ "50"; "-1" ]) in
+    let* kind_key =
+      frequency [ (12, return "kind"); (1, return {|k\u0069nd|}) ]
+    in
+    let body =
+      List.map (fun (k, v) -> ((if k = "kind" then kind_key else k), v)) body
+    in
+    let envelope =
+      List.map (fun v -> (id_key, v)) id
+      @ List.map (fun v -> ("id", v)) id2
+      @ List.map (fun v -> (trace_key, v)) trace
+      @ List.map (fun v -> ("trace", v)) trace2
+      @ List.map (fun v -> ("timeout_ms", v)) timeout
+    in
+    let* members = shuffle_l (envelope @ body) in
+    let* ws =
+      array_repeat
+        ((4 * List.length members) + 2)
+        (frequencyl [ (6, ""); (2, " "); (1, "\t"); (1, " \n ") ])
+    in
+    return { members; ws })
+
+let render_spelling { members; ws } =
+  let b = Buffer.create 128 in
+  let w = ref 0 in
+  let space () =
+    Buffer.add_string b ws.(!w);
+    incr w
+  in
+  space ();
+  Buffer.add_char b '{';
+  List.iteri
+    (fun i (k, v) ->
+      if i > 0 then Buffer.add_char b ',';
+      space ();
+      Buffer.add_string b ("\"" ^ k ^ "\"");
+      space ();
+      Buffer.add_char b ':';
+      space ();
+      Buffer.add_string b v;
+      space ())
+    members;
+  Buffer.add_char b '}';
+  space ();
+  Buffer.contents b
+
+(* Binary spellings: the same requests as members, with envelope values
+   of every type, duplicates and timeouts (escapes and whitespace do not
+   exist on that wire). A [Float 1.5] trace stands for a NaN the encoder
+   refuses; the test patches its bits in. *)
+let bin_spelling_gen =
+  let module Wire = Rvu_service.Wire in
+  let ids =
+    [ Wire.Int 1; Wire.Int (-12); Wire.String "a/b"; Wire.Null; Wire.Float 1.0;
+      Wire.Bool true; Wire.List [ Wire.Int 1 ]; Wire.Obj [ ("a", Wire.Int 1) ] ]
+  in
+  let traces =
+    [ Wire.String "00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01";
+      Wire.String "nope"; Wire.Int 7; Wire.Null; Wire.List [ Wire.Int 1 ];
+      Wire.Obj [ ("x", Wire.String "y") ]; Wire.Float 1.5 ]
+  in
+  QCheck.Gen.(
+    let* request = cheap_request_gen in
+    let body =
+      match Rvu_service.Proto.wire_of_request request with
+      | Wire.Obj fields -> fields
+      | _ -> assert false
+    in
+    let opt g = frequency [ (1, return []); (3, map (fun x -> [ x ]) g) ] in
+    let rare g = frequency [ (6, return []); (1, map (fun x -> [ x ]) g) ] in
+    let* id = opt (oneofl ids) in
+    let* id2 = rare (oneofl ids) in
+    let* trace = opt (oneofl traces) in
+    let* trace2 = rare (oneofl traces) in
+    let* timeout = rare (oneofl [ Wire.Float 50.0; Wire.Int (-1) ]) in
+    let named name = List.map (fun v -> (name, v)) in
+    shuffle_l
+      (named "id" id @ named "id" id2 @ named "trace" trace
+      @ named "trace" trace2 @ named "timeout_ms" timeout @ body))

@@ -1009,6 +1009,298 @@ let test_bin_warm_allocation_ceiling () =
     (Printf.sprintf "%.0f minor words/request under the 512 ceiling" words)
     true (words < 512.0)
 
+(* The same ceiling on the JSON line path, which takes the same hit path:
+   the envelope scan, the frame key, the result-cache splice. Measured
+   ~160 words/request; before JSON hits skipped the parse it was ~1730. *)
+let test_json_warm_allocation_ceiling () =
+  let config =
+    {
+      Server.default_config with
+      Server.jobs = 1;
+      queue_depth = 16;
+      cache_entries = 64;
+      timeout_ms = None;
+    }
+  in
+  let server = Server.create ~config () in
+  Fun.protect ~finally:(fun () -> Server.stop server) @@ fun () ->
+  let lines =
+    Array.init 8 (fun i ->
+        simulate_line ~id:(i + 1) (1.0 +. (0.1 *. float_of_int i)))
+  in
+  (* Fill passes: the first computes, the second is answered from the
+     result cache and files the frame entry; every later repeat is a
+     frame hit, answered synchronously on this domain. *)
+  for _ = 1 to 2 do
+    Array.iter (fun l -> ignore (Server.handle_sync server l : string)) lines
+  done;
+  let rounds = 50 in
+  let n = rounds * Array.length lines in
+  let hits = ref 0 in
+  let respond _ = incr hits in
+  let before = Gc.minor_words () in
+  for _ = 1 to rounds do
+    Array.iter (fun l -> Server.handle_line server l ~respond) lines
+  done;
+  let words = (Gc.minor_words () -. before) /. float_of_int n in
+  check_int "every warm request answered synchronously" n !hits;
+  check_bool
+    (Printf.sprintf "%.0f minor words/request under the 512 ceiling" words)
+    true (words < 512.0)
+
+(* ------------------------------------------------------------------ *)
+(* Frame cache: warm hits answer like a fresh server *)
+
+(* The frame cache is not the result cache: its lookups move neither the
+   result-cache metrics nor the [stats] cache section, which count each
+   request's result-cache lookup once, cold or warm, on either wire. *)
+let test_server_metrics_endpoint_binary () =
+  let config =
+    { Server.default_config with Server.jobs = 1; queue_depth = 8; cache_entries = 8; timeout_ms = None }
+  in
+  let server = Server.create ~config () in
+  Fun.protect ~finally:(fun () -> Server.stop server) @@ fun () ->
+  let metrics () =
+    match
+      Wire.member "ok"
+        (Result.get_ok
+           (Wire.parse (Server.handle_sync server {|{"kind":"metrics"}|})))
+    with
+    | Some body -> body
+    | None -> Alcotest.fail "metrics request failed"
+  in
+  let cache field =
+    int_of_float (float_member [ "cache"; field ] (Server.stats_json server))
+  in
+  let before = metrics () in
+  let hits0 = cache "hits" and misses0 = cache "misses" in
+  let payload =
+    Wb.encode (Result.get_ok (Wire.parse {|{"kind":"feasibility","v":2.5,"id":1}|}))
+  in
+  (* One cold request, then warm repeats: the first repeat is answered
+     from the result cache on the slow path (and files the frame entry),
+     the next two are frame-cache hits. *)
+  let cold = Server.handle_payload_sync server payload in
+  for _ = 1 to 3 do
+    check_string "warm repeat is byte-identical" cold
+      (Server.handle_payload_sync server payload)
+  done;
+  let after = metrics () in
+  let delta name = registry_counter after name - registry_counter before name in
+  check_int "one result-cache miss" 1 (delta "rvu_result_cache_misses_total");
+  check_int "three result-cache hits" 3 (delta "rvu_result_cache_hits_total");
+  check_int "only the miss was admitted" 1 (delta "rvu_sched_admitted_total");
+  check_int "stats cache section: one miss" 1 (cache "misses" - misses0);
+  check_int "stats cache section: three hits" 3 (cache "hits" - hits0);
+  check_int "two frame-cache hits" 2 (Server.frame_cache_stats server).Lru.hits
+
+(* A warm hit answers only what the slow path would answer: the excised
+   id and trace values are validated before the spliced answer goes out.
+   Each request below shares its frame key with a valid request that
+   already filled the entry, yet is rejected by the decoder or, for an
+   escaped key, read differently; warm and cold servers must give the
+   same bytes. *)
+let test_warm_answers_like_cold () =
+  let config =
+    { Server.default_config with Server.jobs = 1; queue_depth = 8; cache_entries = 8; timeout_ms = None }
+  in
+  let answer server handle bytes =
+    Rvu_obs.Ctx.set_seed 0;
+    handle server bytes
+  in
+  let same ~handle ~label ~fill bytes =
+    let warm = Server.create ~config () and cold = Server.create ~config () in
+    Fun.protect ~finally:(fun () -> Server.stop warm; Server.stop cold)
+    @@ fun () ->
+    for _ = 1 to 2 do
+      ignore (handle warm fill : string)
+    done;
+    let w = answer warm handle bytes in
+    check_string label (answer cold handle bytes) w;
+    w
+  in
+  (* Binary: a NaN trace float (the encoder refuses one, so the bits are
+     patched in over a 1.5). *)
+  let with_trace v =
+    Wb.encode
+      (Wire.Obj
+         [ ("id", Wire.Int 4); ("kind", Wire.String "schedule"); ("rounds", Wire.Int 2); ("trace", v) ])
+  in
+  let nan_trace =
+    let p = with_trace (Wire.Float 1.5) in
+    let bits = String.sub (Wb.encode (Wire.Float 1.5)) 1 8 in
+    let at = String.length p - 8 in
+    check_string "the trace float sits at the end" bits (String.sub p at 8);
+    let b = Bytes.of_string p in
+    Bytes.set_int64_be b at (Int64.bits_of_float Float.nan);
+    Bytes.to_string b
+  in
+  let w =
+    same ~handle:Server.handle_payload_sync ~label:"binary NaN trace"
+      ~fill:(with_trace (Wire.String "t")) nan_trace
+  in
+  check_bool "binary NaN trace is a parse error" true
+    (error_code (decode_bin_exn w) = Some "parse_error");
+  (* JSON: values the scan steps over but the parser rejects, and ids it
+     parses but the protocol rejects. *)
+  let fill = {|{"id":4,"kind":"schedule","rounds":2,"trace":"t"}|} in
+  List.iter
+    (fun (line, code) ->
+      let w = same ~handle:Server.handle_sync ~label:line ~fill line in
+      check_bool (line ^ " answers " ^ code) true
+        (error_code (Result.get_ok (Wire.parse w)) = Some code))
+    [
+      ({|{"id":1e999,"kind":"schedule","rounds":2,"trace":"t"}|}, "parse_error");
+      ({|{"id":[1,},"kind":"schedule","rounds":2,"trace":"t"}|}, "parse_error");
+      ({|{"id":tru,"kind":"schedule","rounds":2,"trace":"t"}|}, "parse_error");
+      ({|{"id":4,"kind":"schedule","rounds":2,"trace":1e999}|}, "parse_error");
+      ({|{"id":4,"kind":"schedule","rounds":2,"trace":"\uD800"}|}, "parse_error");
+      ({|{"id":4,"kind":"schedule","rounds":2,"trace":[1,}}|}, "parse_error");
+      ({|{"id":1.0,"kind":"schedule","rounds":2,"trace":"t"}|}, "invalid_request");
+      ({|{"id":true,"kind":"schedule","rounds":2,"trace":"t"}|}, "invalid_request");
+    ];
+  (* An escaped key spells "id" without its bytes, and the parser reads
+     that member first: the scan must not take the later one. *)
+  let line = {|{"\u0069d":5,"id":1,"kind":"schedule","rounds":2}|} in
+  let w =
+    same ~handle:Server.handle_sync ~label:line
+      ~fill:{|{"\u0069d":5,"id":0,"kind":"schedule","rounds":2}|} line
+  in
+  check_bool "the escaped id is the one echoed" true
+    (Wire.member "id" (Result.get_ok (Wire.parse w)) = Some (Wire.Int 5))
+
+(* The differential: random spellings of cheap cacheable requests, sent
+   to a server whose frame entry for the spelling is already filled and
+   to a fresh server; the two answers must be the same bytes. Spellings
+   vary whitespace and member order and carry non-canonical and invalid
+   ids and traces, duplicate id/trace members, escaped keys and
+   timeouts. Generated ctx ids come from a process-wide counter, reset
+   before each answer. *)
+
+(* Which spellings the frame cache must answer: every value parses, the
+   first id is one the protocol echoes, no top-level key is escaped and
+   no timeout rides along. *)
+let should_hit members =
+  List.for_all
+    (fun (k, v) ->
+      not (String.contains k '\\' || List.mem v Gen.malformed_values))
+    members
+  && (not (List.mem_assoc "timeout_ms" members))
+  &&
+  match List.assoc_opt "id" members with
+  | None -> true
+  | Some v -> List.mem v Gen.echoable_ids
+
+(* The first member spelled [name] (raw bytes, as the scan compares them)
+   gets [value]: the spelling that shares a frame key with [s]. *)
+let with_first name value members =
+  let rec go = function
+    | [] -> []
+    | (k, _) :: rest when k = name -> (k, value) :: rest
+    | m :: rest -> m :: go rest
+  in
+  go members
+
+let diff_config =
+  { Server.default_config with Server.jobs = 1; queue_depth = 8; cache_entries = 64; timeout_ms = None }
+
+(* One warm server per differential, shared by its cases and stopped
+   when the property ends ({!stopping_warm}). *)
+let warm_server = ref None
+
+let warm () =
+  match !warm_server with
+  | Some s -> s
+  | None ->
+      let s = Server.create ~config:diff_config () in
+      warm_server := Some s;
+      s
+
+let stopping_warm (name, speed, run) =
+  ( name,
+    speed,
+    fun x ->
+      Fun.protect
+        ~finally:(fun () ->
+          Option.iter Server.stop !warm_server;
+          warm_server := None)
+        (fun () -> run x) )
+
+let answer_fresh handle bytes =
+  let fresh = Server.create ~config:diff_config () in
+  Fun.protect ~finally:(fun () -> Server.stop fresh) @@ fun () ->
+  Rvu_obs.Ctx.set_seed 0;
+  handle fresh bytes
+
+(* The warm answer, and whether the frame cache gave it. *)
+let answer_warm handle ~fill bytes =
+  let warm = warm () in
+  for _ = 1 to 2 do
+    ignore (handle warm fill : string)
+  done;
+  let hits () = (Server.frame_cache_stats warm).Lru.hits in
+  let before = hits () in
+  Rvu_obs.Ctx.set_seed 0;
+  let answer = handle warm bytes in
+  (answer, hits () > before)
+
+let prop_json_warm_equals_fresh =
+  QCheck.Test.make ~count:200 ~name:"JSON: a warm frame hit answers like a fresh server"
+    (QCheck.make Gen.spelling_gen ~print:Gen.render_spelling)
+    (fun s ->
+      let line = Gen.render_spelling s in
+      let fill =
+        Gen.render_spelling
+          { s with Gen.members = with_first "id" "0" (with_first "trace" {|"t"|} s.members) }
+      in
+      let warm, hit = answer_warm Server.handle_sync ~fill line in
+      let fresh = answer_fresh Server.handle_sync line in
+      if not (String.equal warm fresh) then
+        QCheck.Test.fail_reportf "warm %s\nfresh %s" warm fresh;
+      hit = should_hit s.Gen.members
+      || QCheck.Test.fail_reportf "frame-cache hit %b, expected %b" hit (not hit))
+
+(* Encode, turning every [Float 1.5] value's bits into a NaN's. *)
+let encode_with_nans members =
+  let p = Wb.encode (Wire.Obj members) in
+  let pat = Wb.encode (Wire.Float 1.5) in
+  let b = Bytes.of_string p in
+  let n = String.length p and m = String.length pat in
+  let i = ref 0 in
+  while !i + m <= n do
+    if String.sub p !i m = pat then begin
+      Bytes.set_int64_be b (!i + 1) (Int64.bits_of_float Float.nan);
+      i := !i + m
+    end
+    else incr i
+  done;
+  Bytes.to_string b
+
+let prop_bin_warm_equals_fresh =
+  QCheck.Test.make ~count:200 ~name:"binary: a warm frame hit answers like a fresh server"
+    (QCheck.make Gen.bin_spelling_gen ~print:(fun m -> Wire.print (Wire.Obj m)))
+    (fun members ->
+      let payload = encode_with_nans members in
+      let fill =
+        encode_with_nans
+          (with_first "id" (Wire.Int 0)
+             (with_first "trace" (Wire.String "t") members))
+      in
+      let warm, hit = answer_warm Server.handle_payload_sync ~fill payload in
+      let fresh = answer_fresh Server.handle_payload_sync payload in
+      if not (String.equal warm fresh) then
+        QCheck.Test.fail_reportf "warm %S\nfresh %S" warm fresh;
+      let should_hit =
+        (not (List.exists (fun (_, v) -> v = Wire.Float 1.5) members))
+        && (not (List.mem_assoc "timeout_ms" members))
+        &&
+        match List.assoc_opt "id" members with
+        | None | Some (Wire.Null | Wire.Int _ | Wire.String _) -> true
+        | Some _ -> false
+      in
+      hit = should_hit
+      || QCheck.Test.fail_reportf "frame-cache hit %b, expected %b" hit should_hit)
+
 (* ------------------------------------------------------------------ *)
 (* Framed transport: serve_channels over pipes *)
 
@@ -1270,6 +1562,20 @@ let () =
             test_bin_torn_frame_fault;
           Alcotest.test_case "warm allocation ceiling" `Quick
             test_bin_warm_allocation_ceiling;
+          Alcotest.test_case "JSON warm allocation ceiling" `Quick
+            test_json_warm_allocation_ceiling;
+          Alcotest.test_case "metrics endpoint reconciles (binary)" `Quick
+            test_server_metrics_endpoint_binary;
+          Alcotest.test_case "warm hits answer like cold servers" `Quick
+            test_warm_answers_like_cold;
+          stopping_warm
+            (QCheck_alcotest.to_alcotest
+               ~rand:(Random.State.make [| 0x19; 0xf4a3e |])
+               prop_json_warm_equals_fresh);
+          stopping_warm
+            (QCheck_alcotest.to_alcotest
+               ~rand:(Random.State.make [| 0x19; 0xb1a5 |])
+               prop_bin_warm_equals_fresh);
         ] );
       ( "framed transport",
         [
