@@ -777,7 +777,7 @@ let config_term =
     $ cache_entries_arg $ timeout_arg $ max_request_bytes_arg)
 
 let resolve_or_exit host =
-  try Rvu_service.Server.resolve host
+  try Rvu_service.Conn.resolve host
   with Invalid_argument _ ->
     Format.eprintf "rvu: cannot resolve host %S@." host;
     exit 1
@@ -941,44 +941,28 @@ let serve_cmd =
 
 (* Client-side binary shims: [Loadgen] itself is transport-agnostic and
    speaks JSON lines, so driving a binary connection means transcoding at
-   the edges — encode each generated line into a frame on the way out,
-   print each decoded response back to its canonical JSON line for
+   the edges — encode each generated line into a frame payload on the way
+   out, print each decoded response back to its canonical JSON line for
    [note_response] on the way in. Both codecs are canonical over the same
    value domain, so the latency/ok accounting sees exactly the lines a
    JSON connection would. *)
-let frame_of_line line =
-  match Rvu_service.Wire.parse line with
-  | Ok w -> Rvu_service.Wire_bin.encode w
-  | Error _ ->
-      (* Loadgen only emits well-formed scenario lines. *)
-      invalid_arg "loadgen: cannot encode scenario line"
+let record_of_line wire line =
+  match wire with
+  | Rvu_service.Wire_bin.Json -> line
+  | Rvu_service.Wire_bin.Binary -> (
+      match Rvu_service.Wire.parse line with
+      | Ok w -> Rvu_service.Wire_bin.encode w
+      | Error _ ->
+          (* Loadgen only emits well-formed scenario lines. *)
+          invalid_arg "loadgen: cannot encode scenario line")
 
-let line_of_frame payload =
-  match Rvu_service.Wire_bin.decode payload with
-  | Ok w -> Rvu_service.Wire.print w
-  | Error _ -> "{\"error\":{\"code\":\"internal\"}}"
-
-(* Upgrade one fresh connection to binary frames: hello (with the
-   reserved id 0 — Loadgen's own ids start at 1) must be the first
-   record, and its response is still a JSON line. *)
-let client_hello ic oc =
-  output_string oc "{\"id\":0,\"kind\":\"hello\",\"wire\":\"binary\"}\n";
-  flush oc;
-  let ok =
-    match Rvu_service.Wire.parse (input_line ic) with
-    | Error _ -> false
-    | Ok w -> (
-        match
-          Option.bind (Rvu_service.Wire.member "ok" w)
-            (Rvu_service.Wire.member "wire")
-        with
-        | Some (Rvu_service.Wire.String "binary") -> true
-        | _ -> false)
-  in
-  if not ok then begin
-    Format.eprintf "rvu: server rejected the binary wire upgrade@.";
-    exit 1
-  end
+let line_of_record wire record =
+  match wire with
+  | Rvu_service.Wire_bin.Json -> record
+  | Rvu_service.Wire_bin.Binary -> (
+      match Rvu_service.Wire_bin.decode record with
+      | Ok w -> Rvu_service.Wire.print w
+      | Error _ -> "{\"error\":{\"code\":\"internal\"}}")
 
 let loadgen_tcp lg ~host ~port ~rate ~connections ~wire =
   (* [Loadgen.drive] sends from one thread, so round-robin over the
@@ -987,84 +971,57 @@ let loadgen_tcp lg ~host ~port ~rate ~connections ~wire =
      responses interleave freely; percentile reporting stays exact
      because every sample still lands in the one retained-samples
      histogram. *)
-  let socks =
+  let addr = Unix.ADDR_INET (resolve_or_exit host, port) in
+  let conns =
     Array.init connections (fun _ ->
-        let sock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-        (try Unix.connect sock (Unix.ADDR_INET (resolve_or_exit host, port))
-         with Unix.Unix_error (e, _, _) ->
-           Format.eprintf "rvu: cannot connect to %s:%d: %s@." host port
-             (Unix.error_message e);
-           exit 1);
-        sock)
+        match Rvu_service.Conn.connect wire addr with
+        | c -> c
+        | exception Unix.Unix_error (e, _, _) ->
+            Format.eprintf "rvu: cannot connect to %s:%d: %s@." host port
+              (Unix.error_message e);
+            exit 1
+        | exception Failure _ ->
+            Format.eprintf "rvu: server rejected the binary wire upgrade@.";
+            exit 1)
   in
-  let chans =
-    Array.map
-      (fun sock ->
-        (Unix.in_channel_of_descr sock, Unix.out_channel_of_descr sock))
-      socks
-  in
-  (match wire with
-  | Rvu_service.Wire_bin.Json -> ()
-  | Rvu_service.Wire_bin.Binary ->
-      Array.iter (fun (ic, oc) -> client_hello ic oc) chans);
   let readers =
     Array.map
-      (fun (ic, _) ->
+      (fun (c : Rvu_service.Conn.client) ->
         Domain.spawn (fun () ->
             try
-              match wire with
-              | Rvu_service.Wire_bin.Json ->
-                  while true do
-                    Rvu_service.Loadgen.note_response lg (input_line ic)
-                  done
-              | Rvu_service.Wire_bin.Binary ->
-                  let live = ref true in
-                  while !live do
-                    match Rvu_service.Wire_bin.input_frame ic with
-                    | Rvu_service.Wire_bin.Frame payload ->
-                        Rvu_service.Loadgen.note_response lg
-                          (line_of_frame payload)
-                    | Rvu_service.Wire_bin.Eof
-                    | Rvu_service.Wire_bin.Truncated
-                    | Rvu_service.Wire_bin.Oversized _ ->
-                        live := false
-                  done
+              Rvu_service.Conn.read_records wire c.ic (fun record ->
+                  Rvu_service.Loadgen.note_response lg
+                    (line_of_record wire record))
             with _ -> ()))
-      chans
+      conns
   in
   let next = ref 0 in
   Rvu_service.Loadgen.drive ~rate lg ~send:(fun line ->
-      let _, oc = chans.(!next) in
+      let c = conns.(!next) in
       next := (!next + 1) mod connections;
-      (match wire with
-      | Rvu_service.Wire_bin.Json ->
-          output_string oc line;
-          output_char oc '\n'
-      | Rvu_service.Wire_bin.Binary ->
-          Rvu_service.Wire_bin.output_frame oc (frame_of_line line));
-      flush oc);
+      Rvu_service.Conn.write wire c.oc (record_of_line wire line));
   let complete = Rvu_service.Loadgen.wait lg in
   Array.iter
-    (fun sock -> try Unix.shutdown sock Unix.SHUTDOWN_ALL with _ -> ())
-    socks;
+    (fun (c : Rvu_service.Conn.client) ->
+      try Unix.shutdown c.fd Unix.SHUTDOWN_ALL with _ -> ())
+    conns;
   Array.iter Domain.join readers;
-  Array.iter (fun (_, oc) -> close_out_noerr oc) chans;
+  Array.iter (fun (c : Rvu_service.Conn.client) -> close_out_noerr c.oc) conns;
   complete
 
 let loadgen_local lg ~config ~rate ~wire =
   let server = Rvu_service.Server.create ~config () in
+  (* The binary mode goes through the same transcode shims as the TCP
+     path, so the local mode still exercises the server's binary
+     decode/encode/frame-cache path end to end. *)
+  let handle =
+    match wire with
+    | Rvu_service.Wire_bin.Json -> Rvu_service.Server.handle_line server
+    | Rvu_service.Wire_bin.Binary -> Rvu_service.Server.handle_payload server
+  in
   Rvu_service.Loadgen.drive ~rate lg ~send:(fun line ->
-      match wire with
-      | Rvu_service.Wire_bin.Json ->
-          Rvu_service.Server.handle_line server line
-            ~respond:(Rvu_service.Loadgen.note_response lg)
-      | Rvu_service.Wire_bin.Binary ->
-          (* Same transcode shim as the TCP path, so the local mode still
-             exercises the server's binary decode/encode/frame-cache
-             path end to end. *)
-          Rvu_service.Server.handle_payload server (frame_of_line line)
-            ~respond:(fun payload ->
-              Rvu_service.Loadgen.note_response lg (line_of_frame payload)));
+      handle (record_of_line wire line) ~respond:(fun record ->
+          Rvu_service.Loadgen.note_response lg (line_of_record wire record)));
   let complete = Rvu_service.Loadgen.wait lg in
   Rvu_service.Server.stop server;
   complete
@@ -1505,11 +1462,9 @@ let health connect =
   (* The server may still be binding (smoke tests fork it just before the
      probe): retry the connection briefly before giving up. *)
   let rec connect_retry tries =
-    let sock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-    match Unix.connect sock addr with
-    | () -> sock
+    match Rvu_service.Conn.connect Rvu_service.Wire_bin.Json addr with
+    | c -> c
     | exception Unix.Unix_error (e, _, _) ->
-        Unix.close sock;
         if tries <= 1 then begin
           Format.eprintf "rvu: cannot connect to %s:%d: %s@." host port
             (Unix.error_message e);
@@ -1518,20 +1473,18 @@ let health connect =
         Unix.sleepf 0.1;
         connect_retry (tries - 1)
   in
-  let sock = connect_retry 50 in
-  let ic = Unix.in_channel_of_descr sock in
-  let oc = Unix.out_channel_of_descr sock in
-  output_string oc "{\"id\":0,\"kind\":\"health\"}\n";
-  flush oc;
+  let c = connect_retry 50 in
+  Rvu_service.Conn.write Rvu_service.Wire_bin.Json c.oc
+    "{\"id\":0,\"kind\":\"health\"}";
   let line =
-    match input_line ic with
+    match input_line c.ic with
     | line -> line
     | exception End_of_file ->
         Format.eprintf "rvu: server closed the connection without answering@.";
         exit 1
   in
-  (try Unix.shutdown sock Unix.SHUTDOWN_ALL with _ -> ());
-  close_in_noerr ic;
+  (try Unix.shutdown c.fd Unix.SHUTDOWN_ALL with _ -> ());
+  close_in_noerr c.ic;
   let bad reason =
     Format.eprintf "rvu: malformed health response (%s): %s@." reason line;
     exit 1

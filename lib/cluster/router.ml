@@ -11,6 +11,7 @@
 module Wire = Rvu_service.Wire
 module Wb = Rvu_service.Wire_bin
 module Proto = Rvu_service.Proto
+module Conn = Rvu_service.Conn
 module Metrics = Rvu_obs.Metrics
 module Log = Rvu_obs.Log
 module Ctx = Rvu_obs.Ctx
@@ -201,27 +202,9 @@ let set_status_locked sh status ~reason =
 (* ------------------------------------------------------------------ *)
 (* Dispatch, eviction, retry *)
 
-(* Render a value in the codec of a client connection. *)
-let render_client client w =
-  match client with Wb.Json -> Wire.print w | Wb.Binary -> Wb.encode w
-
-(* The router-id spelling spliced between [r_pre] and [r_post] — JSON
-   digits on NDJSON shard connections, the 9-byte Int encoding on binary
-   ones. *)
-let rid_enc t rid =
-  match t.config.wire with
-  | Wb.Json -> string_of_int rid
-  | Wb.Binary -> Wb.encode (Wire.Int rid)
-
 (* Write one request to a shard connection in the shard codec. Must hold
    [sh.lock] (callers handle the write-error teardown). *)
-let write_conn t (c : conn) payload =
-  (match t.config.wire with
-  | Wb.Json ->
-      output_string c.oc payload;
-      output_char c.oc '\n'
-  | Wb.Binary -> Wb.output_frame c.oc payload);
-  flush c.oc
+let write_conn t (c : conn) payload = Conn.write t.config.wire c.oc payload
 
 (* Close out a routed request under its context: the forward-phase
    observation (so the histogram's exemplar points at the trace that
@@ -249,7 +232,9 @@ let rec dispatch t (r : routed) =
   | Some i -> (
       let sh = t.shards.(i) in
       let rid = next_rid t in
-      let line = r.r_pre ^ rid_enc t rid ^ r.r_post in
+      let line =
+        r.r_pre ^ Conn.encode t.config.wire (Wire.Int rid) ^ r.r_post
+      in
       Mutex.lock sh.lock;
       match sh.conn with
       | None ->
@@ -287,7 +272,7 @@ and shed t (r : routed) reason =
     ~fields:[ ("ctx", Wire.String r.r_ctx.cid); ("reason", Wire.String reason) ]
     "request shed";
   r.r_respond
-    (render_client r.r_client
+    (Conn.encode r.r_client
        (Proto.error_response ~ctx:r.r_ctx.cid ~id:r.r_id Proto.Overloaded
           reason));
   let dt = Clock.now_s () -. r.r_t0 in
@@ -398,7 +383,7 @@ let handle_shard_line t (sh : shard) line =
             | Some (Wire.Int rid) ->
                 ( Some rid,
                   fun (r : routed) ->
-                    render_client r.r_client (substitute_envelope w r) )
+                    Conn.encode r.r_client (substitute_envelope w r) )
             | _ -> (None, fun _ -> line))
         | Error _ -> (None, fun _ -> line))
   in
@@ -430,7 +415,7 @@ let handle_shard_frame t (sh : shard) payload =
             | Some (Wire.Int rid) ->
                 ( Some rid,
                   fun (r : routed) ->
-                    render_client r.r_client (substitute_envelope w r) )
+                    Conn.encode r.r_client (substitute_envelope w r) )
             | _ -> (None, fun _ -> payload))
         | Error _ -> (None, fun _ -> payload))
   in
@@ -442,22 +427,11 @@ let spawn_reader t (sh : shard) conn =
   let d =
     Domain.spawn (fun () ->
         (try
-           match t.config.wire with
-           | Wb.Json ->
-               while true do
-                 let line = input_line conn.ic in
-                 handle_shard_line t sh line
-               done
-           | Wb.Binary ->
-               let running = ref true in
-               while !running do
-                 match
-                   Wb.input_frame ~max_bytes:t.config.max_request_bytes
-                     conn.ic
-                 with
-                 | Wb.Frame payload -> handle_shard_frame t sh payload
-                 | Wb.Eof | Wb.Truncated | Wb.Oversized _ -> running := false
-               done
+           Conn.read_records ~max_bytes:t.config.max_request_bytes
+             t.config.wire conn.ic
+             (match t.config.wire with
+             | Wb.Json -> handle_shard_line t sh
+             | Wb.Binary -> handle_shard_frame t sh)
          with _ -> ());
         mark_down t sh ~gen:conn.gen ~reason:"connection closed";
         (* Single closer: the reader owns the descriptor's lifetime. The
@@ -490,10 +464,8 @@ let reap_readers t ~all =
 (* An internal sub-request ([health]/[stats]/[metrics]) in the shard
    codec. *)
 let internal_request t ~rid kind =
-  match t.config.wire with
-  | Wb.Json -> Printf.sprintf "{\"id\":%d,\"kind\":%S}" rid kind
-  | Wb.Binary ->
-      Wb.encode (Wire.Obj [ ("id", Wire.Int rid); ("kind", Wire.String kind) ])
+  Conn.encode t.config.wire
+    (Wire.Obj [ ("id", Wire.Int rid); ("kind", Wire.String kind) ])
 
 let send_internal t (sh : shard) ~rid ~deadline ~deliver payload =
   Mutex.lock sh.lock;
@@ -602,61 +574,27 @@ let ensure_process t (sh : shard) ~initial =
 
 let attempt_connect t (sh : shard) ~initial =
   ensure_process t sh ~initial;
-  let sock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  (* The reader is spawned only after the binary upgrade (whose hello
+     takes request id 0: [t.rid] starts at 1, so its reply can never
+     collide with a pending request). *)
   match
-    Unix.connect sock
-      (Unix.ADDR_INET
-         (Rvu_service.Server.resolve sh.endpoint.host, sh.endpoint.port))
+    Conn.connect
+      ~timeout_s:(Float.max 1.0 (t.config.connect_timeout_ms /. 1000.0))
+      t.config.wire
+      (Unix.ADDR_INET (Conn.resolve sh.endpoint.host, sh.endpoint.port))
   with
-  | exception _ ->
-      (try Unix.close sock with _ -> ());
+  | exception e ->
+      (match e with
+      | Failure _ -> Log.warn ~fields:(shard_fields sh) "shard hello rejected"
+      | _ -> ());
       Mutex.lock sh.lock;
       sh.next_attempt <- Clock.now_s () +. backoff_s t;
       Mutex.unlock sh.lock;
       false
-  | () -> (
-      let ic = Unix.in_channel_of_descr sock in
-      let oc = Unix.out_channel_of_descr sock in
-      (* In binary mode, upgrade the connection before the reader exists —
-         the hello exchange is the only synchronous round-trip a shard
-         connection ever makes, and rid 0 is reserved for it ([t.rid]
-         starts at 1, so the reply can never collide with a pending
-         request even if it raced one). *)
-      let negotiated =
-        match t.config.wire with
-        | Wb.Json -> true
-        | Wb.Binary -> (
-            match
-              Unix.setsockopt_float sock Unix.SO_RCVTIMEO
-                (Float.max 1.0 (t.config.connect_timeout_ms /. 1000.0));
-              output_string oc "{\"id\":0,\"kind\":\"hello\",\"wire\":\"binary\"}\n";
-              flush oc;
-              let reply = input_line ic in
-              Unix.setsockopt_float sock Unix.SO_RCVTIMEO 0.0;
-              match Wire.parse reply with
-              | Ok w -> (
-                  match
-                    Option.bind (Wire.member "ok" w) (Wire.member "wire")
-                  with
-                  | Some (Wire.String "binary") -> true
-                  | _ -> false)
-              | Error _ -> false
-            with
-            | ok -> ok
-            | exception _ -> false)
-      in
-      match negotiated with
-      | false ->
-          Log.warn ~fields:(shard_fields sh) "shard hello rejected";
-          (try Unix.close sock with _ -> ());
-          Mutex.lock sh.lock;
-          sh.next_attempt <- Clock.now_s () +. backoff_s t;
-          Mutex.unlock sh.lock;
-          false
-      | true ->
+  | { Conn.fd; ic; oc } ->
       Mutex.lock sh.lock;
       sh.gen <- sh.gen + 1;
-      let conn = { fd = sock; ic; oc; gen = sh.gen } in
+      let conn = { fd; ic; oc; gen = sh.gen } in
       sh.conn <- Some conn;
       sh.probe_misses <- 0;
       sh.probe_rid <- None;
@@ -672,7 +610,7 @@ let attempt_connect t (sh : shard) ~initial =
       spawn_reader t sh conn;
       Log.info ~fields:(shard_fields sh) "shard connected";
       if readmit then send_probe t sh (Clock.now_s ());
-      true)
+      true
 
 (* ------------------------------------------------------------------ *)
 (* Supervisor *)
@@ -840,7 +778,8 @@ let handle_fanout t ~client env ~respond =
           | Proto.Metrics_prometheus -> Wire.String (Merge.prometheus merged))
       | _ -> Wire.Null
     in
-    respond (render_client client (Proto.ok_response ~ctx ~id:env.Proto.id payload));
+    respond
+      (Conn.encode client (Proto.ok_response ~ctx ~id:env.Proto.id payload));
     Metrics.observe t.m_latency (Clock.now_s () -. t0);
     leave t
   in
@@ -886,7 +825,7 @@ let local_error t ~client ~respond ~count_latency ~id code msg =
   Log.warn
     ~fields:[ ("ctx", Wire.String ctx); ("error", Wire.String msg) ]
     "request rejected";
-  respond (render_client client (Proto.error_response ~ctx ~id code msg));
+  respond (Conn.encode client (Proto.error_response ~ctx ~id code msg));
   if count_latency then Metrics.observe t.m_latency 0.0
 
 (* A client request that passed its codec's parse as an object. [bytes]
@@ -913,7 +852,7 @@ let route_parsed t ~client ~bytes w ~respond =
       match Wire.member "kind" w with
       | Some (Wire.String "hello") ->
           (* Transport negotiation never reaches a shard; past the first
-             record (the transports answer that one) it is an error, with
+             record (the session answers that one) it is an error, with
              the server's message. *)
           local_error t ~client ~respond ~count_latency:false ~id
             Proto.Invalid_request
@@ -938,10 +877,7 @@ let route_parsed t ~client ~bytes w ~respond =
           let trace = Option.map Ctx.to_traceparent span in
           let shard_bytes =
             if client = t.config.wire then bytes
-            else
-              match t.config.wire with
-              | Wb.Json -> Wire.print w
-              | Wb.Binary -> Wb.encode w
+            else Conn.encode t.config.wire w
           in
           let pre, post =
             match t.config.wire with
@@ -953,11 +889,8 @@ let route_parsed t ~client ~bytes w ~respond =
             | Wb.Json -> Frame.routing_parts shard_bytes
             | Wb.Binary -> Frame.bin_routing_parts shard_bytes
           in
-          let id_bytes, ctx_bytes =
-            match t.config.wire with
-            | Wb.Json -> (Wire.print id, Wire.print (Wire.String ctx))
-            | Wb.Binary -> (Wb.encode id, Wb.encode (Wire.String ctx))
-          in
+          let id_bytes = Conn.encode t.config.wire id in
+          let ctx_bytes = Conn.encode t.config.wire (Wire.String ctx) in
           let kind =
             match Wire.member "kind" w with
             | Some (Wire.String k) -> k
@@ -983,65 +916,34 @@ let route_parsed t ~client ~bytes w ~respond =
               r_respond = respond;
             })
 
-let handle_line t line ~respond =
-  (* Keep 64 bytes of headroom under the workers' limit: the router
-     prepends its own id member, and a forwarded line must never bounce
-     off a worker's oversized-line guard (those rejections carry a null
-     id and could not be matched back). *)
+(* The client entry for both codecs: [client] decodes the request and
+   renders every local answer. Keep 64 bytes of headroom under the
+   workers' limit: the router prepends its own id member, and a forwarded
+   request must never bounce off a worker's oversized-request guard
+   (those rejections carry a null id and could not be matched back). *)
+let handle_client t ~client bytes ~respond =
   let limit = t.config.max_request_bytes - 64 in
-  if String.length line > limit then
-    let ctx = Ctx.generate () in
+  let reject code msg =
     respond
-      (Wire.print
-         (Proto.error_response ~ctx ~id:Wire.Null Proto.Invalid_request
-            (Printf.sprintf "request line of %d bytes exceeds the %d byte limit"
-               (String.length line) limit)))
+      (Conn.encode client
+         (Proto.error_response ~ctx:(Ctx.generate ()) ~id:Wire.Null code msg))
+  in
+  if String.length bytes > limit then
+    reject Proto.Invalid_request
+      (Conn.too_large client (String.length bytes) ~limit)
   else
-    match Wire.parse line with
-    | Error e ->
-        let ctx = Ctx.generate () in
-        Log.warn
-          ~fields:[ ("error", Wire.String (Wire.error_to_string e)) ]
-          "request parse error";
-        respond
-          (Wire.print
-             (Proto.error_response ~ctx ~id:Wire.Null Proto.Parse_error
-                (Wire.error_to_string e)))
-    | Ok (Wire.Obj _ as w) ->
-        route_parsed t ~client:Wb.Json ~bytes:line w ~respond
+    match Conn.decode client bytes with
+    | Error msg ->
+        Log.warn ~fields:[ ("error", Wire.String msg) ] "request parse error";
+        reject Proto.Parse_error msg
+    | Ok (Wire.Obj _ as w) -> route_parsed t ~client ~bytes w ~respond
     | Ok v ->
-        local_error t ~client:Wb.Json ~respond ~count_latency:false
-          ~id:Wire.Null Proto.Invalid_request
+        local_error t ~client ~respond ~count_latency:false ~id:Wire.Null
+          Proto.Invalid_request
           (Printf.sprintf "expected a request object, got %s" (Wire.kind_name v))
 
-let handle_payload t payload ~respond =
-  (* Same headroom logic as [handle_line]: the router's prepended id
-     member must never push a forwarded frame over a worker's limit. *)
-  let limit = t.config.max_request_bytes - 64 in
-  if String.length payload > limit then
-    let ctx = Ctx.generate () in
-    respond
-      (Wb.encode
-         (Proto.error_response ~ctx ~id:Wire.Null Proto.Invalid_request
-            (Printf.sprintf
-               "request frame of %d bytes exceeds the %d byte limit"
-               (String.length payload) limit)))
-  else
-    match Wb.decode payload with
-    | Error msg ->
-        let ctx = Ctx.generate () in
-        Log.warn
-          ~fields:[ ("error", Wire.String msg) ]
-          "request parse error";
-        respond
-          (Wb.encode
-             (Proto.error_response ~ctx ~id:Wire.Null Proto.Parse_error msg))
-    | Ok (Wire.Obj _ as w) ->
-        route_parsed t ~client:Wb.Binary ~bytes:payload w ~respond
-    | Ok v ->
-        local_error t ~client:Wb.Binary ~respond ~count_latency:false
-          ~id:Wire.Null Proto.Invalid_request
-          (Printf.sprintf "expected a request object, got %s" (Wire.kind_name v))
+let handle_line t = handle_client t ~client:Wb.Json
+let handle_payload t = handle_client t ~client:Wb.Binary
 
 let handle_sync t line = Rvu_service.Server.await (handle_line t line)
 
@@ -1052,114 +954,16 @@ let handle_payload_sync t payload =
 (* Transports *)
 
 let serve_channels t ic oc =
-  let out_lock = Mutex.create () in
-  let mode = ref Wb.Json in
-  let respond payload =
-    Mutex.lock out_lock;
-    (try
-       (match !mode with
-       | Wb.Json ->
-           output_string oc payload;
-           output_char oc '\n'
-       | Wb.Binary -> Wb.output_frame oc payload);
-       flush oc
-     with _ -> ());
-    Mutex.unlock out_lock
-  in
-  (* The hello response is written before [mode] flips, so it always goes
-     out as a JSON line — same handshake as a direct server. No routed
-     request can be in flight yet (hello is only honoured first), so no
-     concurrent [respond] can observe the flip mid-connection. *)
-  let negotiate env m =
-    let ctx = Ctx.derive env.Proto.id in
-    respond
-      (Wire.print
-         (Proto.ok_response ~ctx ~id:env.Proto.id
-            (Wire.Obj [ ("wire", Wire.String (Wb.mode_string m)) ])));
-    mode := m
-  in
-  let first = ref true in
-  let closed = ref false in
-  (try
-     while not !closed do
-       match !mode with
-       | Wb.Json -> (
-           match input_line ic with
-           | exception End_of_file -> closed := true
-           | line ->
-               if String.trim line <> "" then begin
-                 let was_first = !first in
-                 first := false;
-                 (* A first-record hello is answered here (the router
-                    owns the client connection — shards only ever see
-                    evaluation traffic). *)
-                 match
-                   if was_first then Rvu_service.Server.hello_env line
-                   else None
-                 with
-                 | Some (env, m) -> negotiate env m
-                 | None -> handle_line t line ~respond
-               end)
-       | Wb.Binary -> (
-           match Wb.input_frame ~max_bytes:t.config.max_request_bytes ic with
-           | Wb.Frame payload -> handle_payload t payload ~respond
-           | Wb.Eof -> closed := true
-           | Wb.Truncated ->
-               Log.warn "connection closed mid-frame";
-               closed := true
-           | Wb.Oversized len ->
-               (* Resynchronising after a hostile length prefix is
-                  guesswork: answer, then close. *)
-               let ctx = Ctx.generate () in
-               respond
-                 (Wb.encode
-                    (Proto.error_response ~ctx ~id:Wire.Null
-                       Proto.Invalid_request
-                       (Printf.sprintf
-                          "request frame of %d bytes exceeds the %d byte limit"
-                          len t.config.max_request_bytes)));
-               closed := true)
-     done
-   with End_of_file -> ());
-  wait_idle t;
-  try flush oc with _ -> ()
+  Conn.serve ~max_bytes:t.config.max_request_bytes ~handle_line:(handle_line t)
+    ~handle_payload:(handle_payload t) ~wait_idle:(fun () -> wait_idle t) ic oc
 
+(* A domain per connection: the router is the process clients share. *)
 let serve_tcp t ~host ~port ?connections () =
-  (match Sys.os_type with
-  | "Unix" -> Sys.set_signal Sys.sigpipe Sys.Signal_ignore
-  | _ -> ());
-  let sock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  Unix.setsockopt sock Unix.SO_REUSEADDR true;
-  Unix.bind sock (Unix.ADDR_INET (Rvu_service.Server.resolve host, port));
-  Unix.listen sock 64;
-  Printf.eprintf "rvu router: listening on %s:%d\n%!" host port;
   let sessions = ref [] in
-  let rec loop remaining =
-    if remaining <> Some 0 then
-      match Unix.accept sock with
-      | exception Unix.Unix_error (Unix.EINTR, _, _) ->
-          (* A signal landed on this thread; its handler decides. *)
-          loop remaining
-      | fd, _peer ->
-          let d =
-            Domain.spawn (fun () ->
-                let ic = Unix.in_channel_of_descr fd in
-                let oc = Unix.out_channel_of_descr fd in
-                Log.debug "router connection accepted";
-                (try serve_channels t ic oc
-                 with e ->
-                   Log.error
-                     ~fields:[ ("exn", Wire.String (Printexc.to_string e)) ]
-                     "router connection error");
-                Log.debug "router connection closed";
-                close_out_noerr oc)
-          in
-          sessions := d :: !sessions;
-          loop (Option.map (fun n -> n - 1) remaining)
-  in
-  loop connections;
-  List.iter Domain.join !sessions;
-  Unix.close sock
+  Conn.listen ~name:"rvu router" ~host ~port ?connections
+    ~run:(fun job -> sessions := Domain.spawn job :: !sessions)
+    (serve_channels t);
+  List.iter Domain.join !sessions
 
 (* ------------------------------------------------------------------ *)
 (* Lifecycle *)

@@ -60,9 +60,10 @@ type config = {
           then speaks length-prefixed frames both ways; requests and
           responses are byte-spliced exactly like the JSON path
           ({!Frame}), so routed binary responses stay byte-identical to
-          a direct binary server's. Client connections negotiate their
-          own codec per connection regardless ({!serve_channels}), with a
-          transcode at the router when the two sides differ. *)
+          a direct binary server's. Client connections always start in
+          JSON and negotiate their own codec per connection regardless
+          ({!serve_channels}), with a transcode at the router when the
+          two sides differ. *)
 }
 
 val default_config : config
@@ -107,17 +108,18 @@ val shard_statuses : t -> string array
     the ring admits exactly the ["ready"] ones. For tests and stats. *)
 
 val serve_channels : t -> in_channel -> out_channel -> unit
-(** Serve one session until end-of-input, then drain and flush.
-    Connections start as NDJSON; a [hello] record with ["wire":"binary"]
-    as the first record upgrades the connection to length-prefixed
-    binary frames, exactly as on a direct server. Responses are written
-    under a lock, flushed per record. *)
+(** One {!Rvu_service.Conn.serve} session over {!handle_line}/
+    {!handle_payload} — the session loop a direct server runs: serve
+    until end-of-input, then drain and flush. Connections start as
+    NDJSON; a first-record [hello] with ["wire":"binary"] upgrades the
+    connection to length-prefixed binary frames. *)
 
 val serve_tcp : t -> host:string -> port:int -> ?connections:int -> unit -> unit
-(** Bind, listen, and serve each accepted connection on its own domain
-    (concurrent, unlike the single-shard server — the router is the
-    process clients share). [connections] bounds how many connections to
-    accept before returning (default: forever). *)
+(** {!Rvu_service.Conn.listen} as ["rvu router"], serving each accepted
+    connection on its own domain (concurrent, unlike the single-shard
+    server — the router is the process clients share); the domains are
+    joined before returning. [connections] bounds how many connections
+    to accept before returning (default: forever). *)
 
 val stop : t -> unit
 (** Stop the supervisor, close shard connections (in-flight requests are

@@ -49,9 +49,13 @@ let reference_source ~algorithm4 =
 (* ------------------------------------------------------------------ *)
 (* JSON shapes (moved verbatim from Handler) *)
 
-let opt_float = function Some x -> Wire.Float x | None -> Wire.Null
 let opt_int = function Some i -> Wire.Int i | None -> Wire.Null
 let finite_or_null x = if Float.is_finite x then Wire.Float x else Wire.Null
+
+(* Close enough to τ = 1, Theorem 3's round count is so large that the
+   time it guarantees overflows a double: the time is then [null] (no
+   wire carries an infinity), next to its exact round. *)
+let time_json = function Some x -> finite_or_null x | None -> Wire.Null
 
 let verdict_json v =
   let feasible, reason =
@@ -78,7 +82,8 @@ let detector_outcome_json outcome =
 let guarantee_json (g : Universal.guarantee) =
   Wire.Obj
     [
-      ("round", opt_int g.Universal.round); ("time", opt_float g.Universal.time);
+      ("round", opt_int g.Universal.round);
+      ("time", time_json g.Universal.time);
     ]
 
 let detector_stats_json (s : Rvu_sim.Detector.stats) =

@@ -35,8 +35,11 @@ val response : args -> Rvu_obs.Wire.t
 val verdict_json : Feasibility.verdict -> Rvu_obs.Wire.t
 val detector_outcome_json : Rvu_sim.Detector.outcome -> Rvu_obs.Wire.t
 val guarantee_json : Universal.guarantee -> Rvu_obs.Wire.t
+val time_json : float option -> Rvu_obs.Wire.t
 (** JSON shapes shared with the service's feasibility/bound/batch
-    handlers. *)
+    handlers. A guaranteed time ([time_json]) is [null] when absent, and
+    when Theorem 3's round count (close to τ = 1) overflows it to
+    infinity. *)
 
 val run : args -> Model.run
 val oracle : args -> Model.oracle

@@ -6,7 +6,7 @@ open Rvu_core
    became registry entry zero; the service re-exports them unchanged. *)
 
 let algorithm4_key = Rvu_model.Unknown_attributes.algorithm4_key
-let opt_float = function Some x -> Wire.Float x | None -> Wire.Null
+let time_json = Rvu_model.Unknown_attributes.time_json
 let verdict_json = Rvu_model.Unknown_attributes.verdict_json
 let outcome_json = Rvu_model.Unknown_attributes.detector_outcome_json
 let guarantee_json = Rvu_model.Unknown_attributes.guarantee_json
@@ -92,7 +92,7 @@ let bound (b : Proto.bound_query) =
       Wire.Obj
         [
           ("round", Wire.Int (Bounds.asymmetric_round attrs ~d ~r));
-          ("time", Wire.Float (Bounds.asymmetric_time attrs ~d ~r));
+          ("time", time_json (Some (Bounds.asymmetric_time attrs ~d ~r)));
         ]
   in
   Wire.Obj
@@ -144,8 +144,7 @@ let batch (b : Proto.batch) =
           [
             ("d", Wire.Float d);
             ("outcome", outcome_json res.Rvu_sim.Engine.outcome);
-            ( "bound",
-              opt_float res.Rvu_sim.Engine.bound.Universal.time );
+            ("bound", time_json res.Rvu_sim.Engine.bound.Universal.time);
             ( "intervals",
               Wire.Int
                 res.Rvu_sim.Engine.stats.Rvu_sim.Detector.intervals );

@@ -17,11 +17,9 @@ let default_config =
     slow_ms = None;
   }
 
-(* Injection points (Rvu_obs.Fault): a torn NDJSON frame must surface as a
-   structured parse error, a dropped connection mid-write must not take the
-   serving loop down. *)
+(* Injection point (Rvu_obs.Fault): a torn NDJSON frame must surface as a
+   structured parse error. *)
 let fault_torn_frame = Rvu_obs.Fault.site "server.torn_frame"
-let fault_drop_conn = Rvu_obs.Fault.site "server.drop_conn"
 
 (* A frame-cache entry: where the answer lives (the request's canonical
    key in the scheduler's result cache) plus what the hit path files
@@ -266,20 +264,42 @@ let log_response ~kind ~t0 outcome =
    produced (the {!Payload} splice is pinned identical), so negotiating
    the codec per connection never moved a JSON byte. *)
 
-let render_ok_body ~wire ~ctx ~id body =
-  match wire with
-  | Wire_bin.Json -> Wire.print (Proto.ok_response ~ctx ~id body)
-  | Wire_bin.Binary -> Wire_bin.encode (Proto.ok_response ~ctx ~id body)
-
 let render_ok_payload ~wire ~ctx ~id p =
   match wire with
   | Wire_bin.Json -> Payload.ok_json p ~ctx ~id
   | Wire_bin.Binary -> Payload.ok_bin p ~ctx ~id
 
+let encode_ok_payload ~wire ~ctx ~id p =
+  Rvu_obs.Phase.time "encode" (fun () -> render_ok_payload ~wire ~ctx ~id p)
+
+let encode_ok_body ~wire ~ctx ~id body =
+  Rvu_obs.Phase.time "encode" (fun () ->
+      Conn.encode wire (Proto.ok_response ~ctx ~id body))
+
 let render_error ~wire ~ctx ~id code msg =
-  match wire with
-  | Wire_bin.Json -> Wire.print (Proto.error_response ~ctx ~id code msg)
-  | Wire_bin.Binary -> Wire_bin.encode (Proto.error_response ~ctx ~id code msg)
+  Conn.encode wire (Proto.error_response ~ctx ~id code msg)
+
+let respond_error ~wire t ~ctx ~id (code, msg) ~respond =
+  count t (match code with Proto.Overloaded -> `Overloaded | _ -> `Error);
+  try respond (render_error ~wire ~ctx ~id code msg) with _ -> ()
+
+(* Count and answer an ok result, rendered by [render]; the outcome is
+   returned for the log. A result no wire can carry (a non-finite float a
+   handler let through) is answered [internal]: the renderers raise, and
+   the exception would otherwise escape into the scheduler or the session
+   and leave the request unanswered. *)
+let respond_ok ~wire t ~ctx ~id render x ~respond =
+  match render ~wire ~ctx ~id x with
+  | response ->
+      count t `Ok;
+      (try respond response with _ -> ());
+      Ok ()
+  | exception e ->
+      let err =
+        (Proto.Internal, "unrenderable result: " ^ Printexc.to_string e)
+      in
+      respond_error ~wire t ~ctx ~id err ~respond;
+      Error err
 
 (* The request context for envelope id [id] that propagated [trace]: a
    child span of the sender's when the member parsed, a fresh root
@@ -348,11 +368,9 @@ let handle_env ?fill ~wire t env ~respond =
       let t0 = Rvu_obs.Clock.now_s () in
       log_request kind;
       let sync body =
-        count t `Ok;
-        respond
-          (Rvu_obs.Phase.time "encode" (fun () ->
-               render_ok_body ~wire ~ctx ~id:env.Proto.id body));
-        log_response ~kind ~t0 (Ok ());
+        log_response ~kind ~t0
+          (respond_ok ~wire t ~ctx ~id:env.Proto.id encode_ok_body body
+             ~respond);
         finish_request t ~kind ~seconds ~frame:false ~ctx:c ~t0
       in
       match env.Proto.request with
@@ -365,9 +383,10 @@ let handle_env ?fill ~wire t env ~respond =
             | Proto.Metrics_prometheus ->
                 Wire.String (Rvu_obs.Metrics.expose ()))
       | Proto.Hello _ ->
-          (* Connection state, not a computation: the transports intercept
-             a first-record hello before it reaches this path, so one seen
-             here arrived mid-stream (or through the in-process entry). *)
+          (* Connection state, not a computation: the session
+             ({!Conn.serve}) intercepts a first-record hello before it
+             reaches this path, so one seen here arrived mid-stream (or
+             through the in-process entry). *)
           let msg = "hello must be the first record on a connection" in
           count t `Error;
           Rvu_obs.Log.warn
@@ -385,21 +404,14 @@ let handle_env ?fill ~wire t env ~respond =
               fill
           in
           Sched.submit ?on_hit t.sched env ~k:(fun outcome ->
-              let response =
-                match outcome with
+              let id = env.Proto.id in
+              log_response ~kind ~t0
+                (match outcome with
                 | Ok p ->
-                    count t `Ok;
-                    Rvu_obs.Phase.time "encode" (fun () ->
-                        render_ok_payload ~wire ~ctx ~id:env.Proto.id p)
-                | Error (code, msg) ->
-                    count t
-                      (match code with
-                      | Proto.Overloaded -> `Overloaded
-                      | _ -> `Error);
-                    render_error ~wire ~ctx ~id:env.Proto.id code msg
-              in
-              (try respond response with _ -> ());
-              log_response ~kind ~t0 (Result.map (fun _ -> ()) outcome);
+                    respond_ok ~wire t ~ctx ~id encode_ok_payload p ~respond
+                | Error err ->
+                    respond_error ~wire t ~ctx ~id err ~respond;
+                    Error err);
               finish_request t ~kind ~seconds ~frame:false ~ctx:c ~t0;
               leave t))
 
@@ -428,25 +440,22 @@ let reject_parse ~wire t msg ~respond =
       Rvu_obs.Log.warn ~fields:[ ("error", Wire.String msg) ] "request parse error";
       respond (render_error ~wire ~ctx ~id:Wire.Null Proto.Parse_error msg))
 
-let reject_oversized ~wire ~noun t bytes ~respond =
+let note_oversized t bytes =
+  count t `Error;
+  Rvu_obs.Log.warn
+    ~fields:[ ("bytes", Wire.Int bytes) ]
+    "request rejected: oversized"
+
+let reject_oversized ~wire t bytes ~respond =
   let ctx = Rvu_obs.Ctx.generate () in
   Rvu_obs.Ctx.with_ctx { cid = ctx; span = None } (fun () ->
-      count t `Error;
-      Rvu_obs.Log.warn
-        ~fields:[ ("bytes", Wire.Int bytes) ]
-        "request rejected: oversized";
+      note_oversized t bytes;
       respond
         (render_error ~wire ~ctx ~id:Wire.Null Proto.Invalid_request
-           (Printf.sprintf "request %s of %d bytes exceeds the %d byte limit"
-              noun bytes t.config.max_request_bytes)))
-
-let decode ~wire bytes =
-  match wire with
-  | Wire_bin.Json -> Result.map_error Wire.error_to_string (Wire.parse bytes)
-  | Wire_bin.Binary -> Wire_bin.decode bytes
+           (Conn.too_large wire bytes ~limit:t.config.max_request_bytes)))
 
 let handle_slow ?fill ~wire t bytes ~respond =
-  match decode ~wire bytes with
+  match Conn.decode wire bytes with
   | Error msg -> reject_parse ~wire t msg ~respond
   | Ok w -> handle_wire ?fill ~wire t w ~respond
 
@@ -487,9 +496,8 @@ let serve_hit ~wire t f p ~id ~trace ~respond =
   Rvu_obs.Ctx.with_ctx c (fun () ->
       let t0 = Rvu_obs.Clock.now_s () in
       log_request f.f_kind;
-      count t `Ok;
-      (try respond (render_ok_payload ~wire ~ctx ~id p) with _ -> ());
-      log_response ~kind:f.f_kind ~t0 (Ok ());
+      log_response ~kind:f.f_kind ~t0
+        (respond_ok ~wire t ~ctx ~id render_ok_payload p ~respond);
       finish_request t ~kind:f.f_kind ~seconds:f.f_seconds ~frame:true ~ctx:c
         ~t0)
 
@@ -538,9 +546,7 @@ let handle ~wire t bytes ~respond =
     else bytes
   in
   if String.length bytes > t.config.max_request_bytes then
-    reject_oversized ~wire
-      ~noun:(match wire with Wire_bin.Json -> "line" | Wire_bin.Binary -> "frame")
-      t (String.length bytes) ~respond
+    reject_oversized ~wire t (String.length bytes) ~respond
   else handle_request ~wire t bytes ~respond
 
 let handle_line t line ~respond = handle ~wire:Wire_bin.Json t line ~respond
@@ -571,161 +577,19 @@ let frame_cache_stats t = Lru.stats t.frames
 (* ------------------------------------------------------------------ *)
 (* Transports *)
 
-(* The first record on a connection, if it is a well-formed hello —
-   anything else (including a malformed one) takes the ordinary request
-   path and the connection stays JSON. *)
-let hello_env line =
-  match Wire.parse line with
-  | Error _ -> None
-  | Ok w -> (
-      match Proto.request_of_wire w with
-      | Ok ({ Proto.request = Proto.Hello m; _ } as env) -> Some (env, m)
-      | Ok _ | Error _ -> None)
-
-let serve_channels ?(wire = Wire_bin.Json) t ic oc =
-  let out_lock = Mutex.create () in
-  (* The connection's codec. Starts at [wire] (binary-from-byte-zero for
-     [--wire binary] deployments; Json by default). Flipped only between
-     the (JSON) hello response and the next read, with no request
-     outstanding — every other read of this ref sees a settled value. *)
-  let mode = ref wire in
-  let respond payload =
-    Mutex.lock out_lock;
-    (try
-       (* Injected connection drop: the client vanished between accept and
-          response. The write path must swallow it like a real EPIPE. *)
-       if Rvu_obs.Fault.fire fault_drop_conn then raise Exit;
-       (match !mode with
-       | Wire_bin.Json ->
-           output_string oc payload;
-           output_char oc '\n'
-       | Wire_bin.Binary -> Wire_bin.output_frame oc payload);
-       flush oc
-     with _ -> () (* client went away; keep serving the rest *));
-    Mutex.unlock out_lock
-  in
-  let negotiate env m =
-    let ctx = Rvu_obs.Ctx.derive env.Proto.id in
-    Rvu_obs.Ctx.with_ctx { cid = ctx; span = None } (fun () ->
-        let t0 = Rvu_obs.Clock.now_s () in
-        count t `Ok;
-        (* The hello response is always JSON (the mode flips after it),
-           so a client can read it with line discipline before switching
-           its own codec. *)
-        respond
-          (Wire.print
-             (Proto.ok_response ~ctx ~id:env.Proto.id
-                (Wire.Obj [ ("wire", Wire.String (Wire_bin.mode_string m)) ])));
-        log_response ~kind:"hello" ~t0 (Ok ());
-        Rvu_obs.Metrics.observe (request_seconds "hello")
-          (Rvu_obs.Clock.now_s () -. t0));
-    mode := m
-  in
-  let first = ref true in
-  let closed = ref false in
-  (* Pinned-binary start ([~wire:Binary]): sniff the connection's first
-     byte. A frame's length prefix never starts with '{' under any sane
-     request limit (0x7B as its high byte would announce a >= 2 GiB
-     frame), so a '{' first byte is a JSON client — typically a hello
-     upgrade line — and the connection falls back to line discipline,
-     the hello still honoured. Pinned peers start framing at byte zero
-     and never hit this. *)
-  let carry_line = ref None in
-  let carry_byte = ref None in
-  (match !mode with
-  | Wire_bin.Json -> ()
-  | Wire_bin.Binary -> (
-      match input_char ic with
-      | exception End_of_file -> closed := true
-      | '{' ->
-          mode := Wire_bin.Json;
-          carry_line :=
-            Some
-              (match input_line ic with
-              | rest -> "{" ^ rest
-              | exception End_of_file -> "{")
-      | c -> carry_byte := Some c));
-  (try
-     while not !closed do
-       match !mode with
-       | Wire_bin.Json ->
-           let line =
-             match !carry_line with
-             | Some l ->
-                 carry_line := None;
-                 l
-             | None -> input_line ic
-           in
-           if String.trim line <> "" then begin
-             let is_first = !first in
-             first := false;
-             match if is_first then hello_env line else None with
-             | Some (env, m) -> negotiate env m
-             | None -> handle_line t line ~respond
-           end
-       | Wire_bin.Binary -> (
-           let first_byte = !carry_byte in
-           carry_byte := None;
-           match
-             Wire_bin.input_frame ?first:first_byte
-               ~max_bytes:t.config.max_request_bytes ic
-           with
-           | Wire_bin.Frame payload -> handle_payload t payload ~respond
-           | Wire_bin.Eof -> closed := true
-           | Wire_bin.Truncated ->
-               (* Mid-frame EOF: nothing to answer (the record never
-                  arrived whole) and nothing to resync to. *)
-               Rvu_obs.Log.warn "connection closed mid-frame";
-               closed := true
-           | Wire_bin.Oversized len ->
-               (* The remaining payload bytes were not consumed, so the
-                  stream position is unknowable — answer and close rather
-                  than guess at a resync. *)
-               reject_oversized ~wire:Wire_bin.Binary ~noun:"frame" t len
-                 ~respond;
-               closed := true)
-     done
-   with End_of_file -> ());
-  wait_idle t;
-  try flush oc with _ -> ()
-
-let resolve host =
-  try Unix.inet_addr_of_string host
-  with _ -> (
-    match Unix.gethostbyname host with
-    | { Unix.h_addr_list = addrs; _ } when Array.length addrs > 0 -> addrs.(0)
-    | _ | (exception Not_found) ->
-        invalid_arg (Printf.sprintf "Server.resolve: cannot resolve %S" host))
+let serve_channels ?wire t =
+  Conn.serve ?wire ~max_bytes:t.config.max_request_bytes
+    ~on_hello:(fun ~t0 ->
+      count t `Ok;
+      log_response ~kind:"hello" ~t0 (Ok ());
+      Rvu_obs.Metrics.observe (request_seconds "hello")
+        (Rvu_obs.Clock.now_s () -. t0))
+    ~on_oversized:(note_oversized t) ~handle_line:(handle_line t)
+    ~handle_payload:(handle_payload t) ~wait_idle:(fun () -> wait_idle t)
 
 let serve_tcp ?wire t ~host ~port ?connections () =
-  (match Sys.os_type with
-  | "Unix" -> Sys.set_signal Sys.sigpipe Sys.Signal_ignore
-  | _ -> ());
-  let sock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  Unix.setsockopt sock Unix.SO_REUSEADDR true;
-  Unix.bind sock (Unix.ADDR_INET (resolve host, port));
-  Unix.listen sock 16;
-  Printf.eprintf "rvu serve: listening on %s:%d\n%!" host port;
-  let rec loop remaining =
-    if remaining <> Some 0 then begin
-      let fd, _peer = Unix.accept sock in
-      let ic = Unix.in_channel_of_descr fd in
-      let oc = Unix.out_channel_of_descr fd in
-      Rvu_obs.Log.debug "connection accepted";
-      (try serve_channels ?wire t ic oc
-       with e ->
-         Rvu_obs.Log.error
-           ~fields:[ ("exn", Wire.String (Printexc.to_string e)) ]
-           "connection error";
-         Printf.eprintf "rvu serve: connection error: %s\n%!"
-           (Printexc.to_string e));
-      Rvu_obs.Log.debug "connection closed";
-      (* One close only: ic and oc share the descriptor. *)
-      close_out_noerr oc;
-      loop (Option.map (fun n -> n - 1) remaining)
-    end
-  in
-  loop connections;
-  Unix.close sock
+  Conn.listen ~name:"rvu serve" ~host ~port ?connections
+    ~run:(fun job -> job ())
+    (serve_channels ?wire t)
 
 let stop t = Sched.stop t.sched

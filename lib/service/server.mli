@@ -129,29 +129,14 @@ val health_json : t -> Wire.t
 
 val serve_channels :
   ?wire:Wire_bin.mode -> t -> in_channel -> out_channel -> unit
-(** Serve until end-of-input, then drain outstanding requests and flush.
-    Responses are written under a lock, flushed per record.
-
-    [wire] (default [Json]) is the connection's starting codec. In the
-    default NDJSON start, a [hello] record with ["wire":"binary"] as the
-    first record upgrades the connection to length-prefixed binary frames
-    ({!Wire_bin}); [~wire:Binary] instead expects frames from byte zero
-    (for peers pinned with [--wire binary]) but sniffs the first byte: a
-    connection opening with ['{'] — a byte no sane length prefix starts
-    with — falls back to line discipline, so hello-negotiating clients
-    still work against a pinned server. *)
-
-val hello_env : string -> (Proto.envelope * Wire_bin.mode) option
-(** The first record on a connection, if it is a well-formed [hello]
-    (with the wire it asks for) — anything else, including a malformed
-    hello, takes the ordinary request path and the connection stays
-    JSON. Shared with the cluster router's transport. *)
-
-val resolve : string -> Unix.inet_addr
-(** Resolve a host name or dotted quad (first address wins), raising
-    [Invalid_argument] when it does not resolve — shared with the cluster
-    router and the CLI's client-side connectors so every component
-    resolves endpoints the same way. *)
+(** One {!Conn.serve} session over {!handle_line}/{!handle_payload}:
+    serve until end-of-input, then drain outstanding requests and flush.
+    [wire] (default [Json]) is the connection's starting codec;
+    [~wire:Binary] is for peers pinned with [--wire binary]. The session's
+    own answers are accounted here like requests: a first-record [hello]
+    counts as ok and is timed into
+    [rvu_server_request_seconds{kind="hello"}], an oversized length prefix
+    counts as an error with a [warn] log record. *)
 
 val serve_tcp :
   ?wire:Wire_bin.mode ->
@@ -161,12 +146,12 @@ val serve_tcp :
   ?connections:int ->
   unit ->
   unit
-(** Bind, listen, and serve connections sequentially (each runs
-    {!serve_channels} on the socket with the same [wire] starting codec;
-    requests within a connection are still concurrent). [connections]
-    bounds how many connections to serve before returning (default: serve
-    forever). A connection error is logged to [stderr] and the accept
-    loop continues. *)
+(** {!Conn.listen} as ["rvu serve"], serving one connection at a time to
+    completion (each runs {!serve_channels} with the same [wire]
+    starting codec; requests within a connection are still concurrent).
+    [connections] bounds how many connections to serve before returning
+    (default: serve forever). A connection error is logged and printed to
+    [stderr], and the accept loop continues. *)
 
 val stop : t -> unit
 (** Drain and join the worker domains. *)

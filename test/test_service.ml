@@ -15,6 +15,7 @@ module Wb = Rvu_service.Wire_bin
 module Lru = Rvu_service.Lru
 module Proto = Rvu_service.Proto
 module Server = Rvu_service.Server
+module Router = Rvu_cluster.Router
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -1302,23 +1303,22 @@ let prop_bin_warm_equals_fresh =
       || QCheck.Test.fail_reportf "frame-cache hit %b, expected %b" hit should_hit)
 
 (* ------------------------------------------------------------------ *)
-(* Framed transport: serve_channels over pipes *)
+(* Framed transport: one session battery over pipes, for both front ends *)
 
-(* One serve_channels session over OS pipes. [f] drives the client ends
-   (oc: requests out, ic: responses in) and must close [oc] when it
-   wants the server to see end-of-input; the server domain returning
-   cleanly — never crashing, never hanging — is itself the property the
-   hardening tests below rely on (a crash would surface in Domain.join,
-   a hang as a test timeout). *)
-let with_conn ?wire config f =
-  let server = Server.create ~config () in
+(* One session over OS pipes. [serve] runs the front end's session on the
+   server ends; [f] drives the client ends (oc: requests out, ic:
+   responses in) and must close [oc] when it wants the session to see
+   end-of-input. The session domain returning cleanly — never crashing,
+   never hanging — is itself the property the hardening tests below rely
+   on (a crash would surface in Domain.join, a hang as a test timeout). *)
+let over_pipes serve f =
   let req_r, req_w = Unix.pipe ~cloexec:false () in
   let resp_r, resp_w = Unix.pipe ~cloexec:false () in
   let sic = Unix.in_channel_of_descr req_r in
   let soc = Unix.out_channel_of_descr resp_w in
   let domain =
     Domain.spawn (fun () ->
-        Server.serve_channels ?wire server sic soc;
+        serve sic soc;
         close_in_noerr sic;
         close_out_noerr soc)
   in
@@ -1328,9 +1328,43 @@ let with_conn ?wire config f =
     ~finally:(fun () ->
       close_out_noerr oc;
       Domain.join domain;
-      close_in_noerr ic;
-      Server.stop server)
+      close_in_noerr ic)
   @@ fun () -> f oc ic
+
+let with_conn ?wire config f =
+  let server = Server.create ~config () in
+  Fun.protect ~finally:(fun () -> Server.stop server) @@ fun () ->
+  over_pipes (Server.serve_channels ?wire server) f
+
+(* The same session through the cluster router, over one in-process
+   shard: a real Server behind a real TCP socket, as in test_cluster.
+   Each session takes its own port. *)
+let routed_port = Atomic.make 7571
+
+let with_routed_conn config f =
+  let port = Atomic.fetch_and_add routed_port 1 in
+  let shard = Server.create ~config () in
+  let worker =
+    Domain.spawn (fun () ->
+        Server.serve_tcp shard ~host:"127.0.0.1" ~port ~connections:1 ())
+  in
+  let router =
+    Router.create
+      ~config:
+        {
+          Router.default_config with
+          max_request_bytes = config.Server.max_request_bytes;
+          connect_timeout_ms = 5000.;
+        }
+      ~endpoints:[ { Router.host = "127.0.0.1"; port; spawn = None } ]
+      ()
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Router.stop router;
+      Domain.join worker;
+      Server.stop shard)
+  @@ fun () -> over_pipes (Router.serve_channels router) f
 
 let conn_config =
   {
@@ -1346,19 +1380,34 @@ let expect_eof ic what =
   | exception End_of_file -> ()
   | c -> Alcotest.failf "expected a clean close after %s, got byte %C" what c
 
-(* A pinned-binary connection that dies inside the 4-byte length prefix:
-   nothing to answer, nothing to desync — the server closes cleanly. *)
+let hello_line = "{\"id\":0,\"kind\":\"hello\",\"wire\":\"binary\"}\n"
+
+(* The client side of the hello upgrade: JSON hello line, JSON ok
+   response, then frames both ways. *)
+let upgrade oc ic =
+  output_string oc hello_line;
+  flush oc;
+  let hello = Result.get_ok (Wire.parse (input_line ic)) in
+  check_bool "hello acknowledged in JSON" true
+    (Wire.member "ok" hello = Some (Wire.Obj [ ("wire", Wire.String "binary") ]))
+
+(* A front end runs one session with a config: [with_conn] for the server
+   (with or without a pinned start), [with_routed_conn] for the router. *)
+let pinned config f = with_conn ~wire:Wb.Binary config f
+let upgraded front config f = front config (fun oc ic -> upgrade oc ic; f oc ic)
+
+(* A connection that dies inside the 4-byte length prefix: nothing to
+   answer, nothing to desync — the server closes cleanly. *)
 let test_frame_truncated_prefix () =
-  with_conn ~wire:Wb.Binary conn_config @@ fun oc ic ->
+  pinned conn_config @@ fun oc ic ->
   output_string oc "\x00\x00";
   close_out oc;
   expect_eof ic "a truncated length prefix"
 
 (* A length prefix past max_request_bytes: the payload is never read, so
    the stream position is unknowable — answer invalid and close. *)
-let test_frame_oversized_length () =
-  let config = { conn_config with Server.max_request_bytes = 64 } in
-  with_conn ~wire:Wb.Binary config @@ fun oc ic ->
+let case_oversized_length front () =
+  front { conn_config with Server.max_request_bytes = 64 } @@ fun oc ic ->
   output_string oc "\x00\x01\x00\x00" (* announces 65536 bytes *);
   flush oc;
   (match Wb.input_frame ic with
@@ -1381,17 +1430,17 @@ let test_frame_oversized_length () =
 
 (* A connection dropped mid-payload: the record never arrived whole, so
    there is nothing to answer — log and close, never block. *)
-let test_frame_midframe_drop () =
-  with_conn ~wire:Wb.Binary conn_config @@ fun oc ic ->
+let case_midframe_drop front () =
+  front conn_config @@ fun oc ic ->
   output_string oc "\x00\x00\x00\x0a1234" (* promises 10 bytes, sends 4 *);
   close_out oc;
   expect_eof ic "a mid-frame drop"
 
 (* A confused client sends binary frames down a JSON connection: the
    frame bytes read as one garbage line and earn a parse_error — the
-   server neither crashes nor interprets them as framing. *)
-let test_frame_binary_on_json_conn () =
-  with_conn conn_config @@ fun oc ic ->
+   front end neither crashes nor interprets them as framing. *)
+let case_binary_on_json_conn front () =
+  front conn_config @@ fun oc ic ->
   output_string oc (Wb.frame (Wb.encode (Wire.Int 5)));
   close_out oc;
   let r = Result.get_ok (Wire.parse (input_line ic)) in
@@ -1399,15 +1448,9 @@ let test_frame_binary_on_json_conn () =
     (error_code r = Some "parse_error");
   expect_eof ic "the parse_error response"
 
-(* The hello upgrade, end to end over the default JSON start: JSON hello
-   line, JSON ok response, then binary frames both ways. *)
-let test_frame_hello_upgrade () =
-  with_conn conn_config @@ fun oc ic ->
-  output_string oc "{\"id\":0,\"kind\":\"hello\",\"wire\":\"binary\"}\n";
-  flush oc;
-  let hello = Result.get_ok (Wire.parse (input_line ic)) in
-  check_bool "hello acknowledged in JSON" true
-    (Wire.member "ok" hello = Some (Wire.Obj [ ("wire", Wire.String "binary") ]));
+(* The hello upgrade, end to end over the default JSON start. *)
+let case_hello_upgrade front () =
+  upgraded front conn_config @@ fun oc ic ->
   let doc = Result.get_ok (Wire.parse {|{"id":1,"kind":"feasibility","v":2.0}|}) in
   Wb.output_frame oc (Wb.encode doc);
   flush oc;
@@ -1427,12 +1470,7 @@ let test_frame_hello_upgrade () =
    '{' falls the connection back to line discipline and the upgrade still
    lands — a negotiating client cannot tell the deployments apart. *)
 let test_frame_hello_against_pinned_binary () =
-  with_conn ~wire:Wb.Binary conn_config @@ fun oc ic ->
-  output_string oc "{\"id\":0,\"kind\":\"hello\",\"wire\":\"binary\"}\n";
-  flush oc;
-  let hello = Result.get_ok (Wire.parse (input_line ic)) in
-  check_bool "hello acknowledged despite the pinned start" true
-    (Wire.member "ok" hello = Some (Wire.Obj [ ("wire", Wire.String "binary") ]));
+  upgraded pinned conn_config @@ fun oc ic ->
   let doc = Result.get_ok (Wire.parse {|{"id":4,"kind":"schedule","rounds":2}|}) in
   Wb.output_frame oc (Wb.encode doc);
   flush oc;
@@ -1447,11 +1485,8 @@ let test_frame_hello_against_pinned_binary () =
    frame belongs: its '{' reads as a ~2 GiB length prefix, which trips
    the size limit — answer invalid and close rather than wait forever
    for gigabytes that are not coming. *)
-let test_frame_json_line_after_upgrade () =
-  with_conn conn_config @@ fun oc ic ->
-  output_string oc "{\"id\":0,\"kind\":\"hello\",\"wire\":\"binary\"}\n";
-  flush oc;
-  ignore (input_line ic : string);
+let case_json_line_after_upgrade front () =
+  upgraded front conn_config @@ fun oc ic ->
   output_string oc "{\"id\":1,\"kind\":\"stats\"}\n";
   flush oc;
   (match Wb.input_frame ic with
@@ -1465,8 +1500,8 @@ let test_frame_json_line_after_upgrade () =
 
 (* hello anywhere but first is connection state arriving too late:
    rejected with a structured error, and the connection keeps serving. *)
-let test_frame_midstream_hello_rejected () =
-  with_conn conn_config @@ fun oc ic ->
+let case_midstream_hello_rejected front () =
+  front conn_config @@ fun oc ic ->
   output_string oc "{\"id\":1,\"kind\":\"health\"}\n";
   flush oc;
   ignore (input_line ic : string);
@@ -1489,6 +1524,73 @@ let test_frame_midstream_hello_rejected () =
   check_bool "connection still serves JSON after the rejection" true
     (error_code r = None);
   close_out oc
+
+(* The cases every front end's session must pass. *)
+let battery front =
+  List.map
+    (fun (name, case) -> Alcotest.test_case name `Quick (case front))
+    [
+      ("binary frame on a JSON connection", case_binary_on_json_conn);
+      ("hello upgrade serves frames", case_hello_upgrade);
+      ("JSON line after upgrade answers and closes", case_json_line_after_upgrade);
+      ("mid-stream hello rejected", case_midstream_hello_rejected);
+      ( "oversized length after upgrade answers and closes",
+        fun front -> case_oversized_length (upgraded front) );
+      ( "mid-frame drop after upgrade closes cleanly",
+        fun front -> case_midframe_drop (upgraded front) );
+    ]
+
+(* Results that overflow a double. A bound with τ within 1e-4 of 1 has an
+   infinite Theorem 3 time, answered null next to its exact round; a
+   schedule past round ~1000 has infinite phase times that no wire can
+   carry, answered [internal]. Three copies per wire through one session
+   — cold, from the result cache, from the frame cache — each get one
+   answer, byte-equal to a fresh server's, and the session still ends at
+   end of input (a request left unanswered would hang its drain). *)
+let test_overflowing_results_answered () =
+  let module Conn = Rvu_service.Conn in
+  let docs =
+    [
+      ( {|{"kind":"bound","tau":1.0001367485251258,"v":1.5174448807764493,"phi":1.4899292150243355,"d":1.9375198218737504,"r":0.2}|},
+        None );
+      ({|{"kind":"schedule","rounds":1100}|}, Some "internal");
+    ]
+  in
+  List.iter
+    (fun (wire, handle_sync) ->
+      List.iter
+        (fun (doc, code) ->
+          let record = Conn.encode wire (Result.get_ok (Wire.parse doc)) in
+          let fresh = answer_fresh handle_sync record in
+          let answer = Result.get_ok (Conn.decode wire fresh) in
+          check_bool (doc ^ " answered with its expected code") true
+            (error_code answer = code);
+          if code = None then
+            check_bool "Theorem 3's time is null next to its round" true
+              (Option.bind (Wire.member "ok" answer) (Wire.member "theorem3")
+              = Some (Wire.Obj [ ("round", Wire.Int 7313); ("time", Wire.Null) ]));
+          let server = Server.create ~config:conn_config () in
+          Fun.protect ~finally:(fun () -> Server.stop server) @@ fun () ->
+          over_pipes (Server.serve_channels ~wire server) @@ fun oc ic ->
+          for copy = 1 to 3 do
+            Rvu_obs.Ctx.set_seed 0;
+            Conn.write wire oc record;
+            check_string
+              (Printf.sprintf "%s copy %d answered like a fresh server" doc copy)
+              fresh
+              (match wire with
+              | Wb.Json -> input_line ic
+              | Wb.Binary -> (
+                  match Wb.input_frame ic with
+                  | Wb.Frame p -> p
+                  | _ -> Alcotest.failf "%s copy %d unanswered" doc copy))
+          done;
+          check_int "the third copy was a frame-cache hit" 1
+            (Server.frame_cache_stats server).Lru.hits;
+          close_out oc;
+          expect_eof ic "the last answer")
+        docs)
+    [ (Wb.Json, Server.handle_sync); (Wb.Binary, Server.handle_payload_sync) ]
 
 let () =
   Alcotest.run "service"
@@ -1582,18 +1684,14 @@ let () =
           Alcotest.test_case "truncated length prefix" `Quick
             test_frame_truncated_prefix;
           Alcotest.test_case "oversized length answers and closes" `Quick
-            test_frame_oversized_length;
+            (case_oversized_length pinned);
           Alcotest.test_case "mid-frame drop closes cleanly" `Quick
-            test_frame_midframe_drop;
-          Alcotest.test_case "binary frame on a JSON connection" `Quick
-            test_frame_binary_on_json_conn;
-          Alcotest.test_case "hello upgrade serves frames" `Quick
-            test_frame_hello_upgrade;
+            (case_midframe_drop pinned);
           Alcotest.test_case "hello against a pinned-binary server" `Quick
             test_frame_hello_against_pinned_binary;
-          Alcotest.test_case "JSON line after upgrade answers and closes"
-            `Quick test_frame_json_line_after_upgrade;
-          Alcotest.test_case "mid-stream hello rejected" `Quick
-            test_frame_midstream_hello_rejected;
-        ] );
+          Alcotest.test_case "overflowing results answered on both wires"
+            `Quick test_overflowing_results_answered;
+        ]
+        @ battery (fun config f -> with_conn config f) );
+      ("routed transport", battery with_routed_conn);
     ]
