@@ -9,7 +9,7 @@
    kernels (the compiled path's reason to exist is allocation
    elimination) and replays a small checkpointed sweep atlas to verify
    interrupted-run resume is byte-identical. Emits BENCH_6.json
-   (override the path with RVU_BENCH_JSON).
+   (override the path with RVU_BENCH6_JSON).
 
    Gate: the run fails if the kernels' results diverge, if the resume
    atlas differs from the full-run atlas, or if the compiled/interpreted
@@ -131,7 +131,7 @@ let resume_roundtrip () =
 (* ------------------------------------------------------------------ *)
 
 let json_path () =
-  Option.value (Sys.getenv_opt "RVU_BENCH_JSON") ~default:"BENCH_6.json"
+  Option.value (Sys.getenv_opt "RVU_BENCH6_JSON") ~default:"BENCH_6.json"
 
 let min_speedup () =
   match Option.bind (Sys.getenv_opt "RVU_PERF_COMPILE_MIN") float_of_string_opt

@@ -399,10 +399,19 @@ let schedule rounds =
   Rvu_report.Table.print t
 
 let schedule_cmd =
+  let cap = Rvu_search.Timing.max_schedule_round in
+  let parse s =
+    match Arg.conv_parser positive_int s with
+    | Ok n when n > cap ->
+        Error (`Msg (Printf.sprintf "expected at most %d rounds, got %d" cap n))
+    | r -> r
+  in
   let rounds =
     Arg.(
-      value & opt positive_int 8
-      & info [ "rounds" ] ~docv:"N" ~doc:"Rounds to list.")
+      value
+      & opt (conv ~docv:"N" (parse, Format.pp_print_int)) 8
+      & info [ "rounds" ] ~docv:"N"
+          ~doc:(Printf.sprintf "Rounds to list, at most %d." cap))
   in
   Cmd.v
     (Cmd.info "schedule"

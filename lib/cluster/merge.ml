@@ -56,227 +56,3 @@ let rec sum_json vs =
 (* member lookup keeps first-field semantics; the filter_map above drops
    shards that lack the key, which is what "sum of what was reported"
    means. *)
-
-(* ------------------------------------------------------------------ *)
-(* metrics: merge by (name, labels) *)
-
-type hist = {
-  mutable buckets : (float * int) list;  (* le, per-bucket (non-cumulative) *)
-  mutable count : int;
-  mutable sum : float;
-}
-
-type value = Num of float * bool (* is_int *) | Hist of hist
-
-type sample = {
-  name : string;
-  kind : string;
-  labels : (string * string) list;
-  help : string;
-  mutable value : value;
-}
-
-let decode_labels = function
-  | Some (Wire.Obj fields) ->
-      List.filter_map
-        (function k, Wire.String v -> Some (k, v) | _ -> None)
-        fields
-  | _ -> []
-
-let decode_buckets w =
-  (* cumulative -> per-bucket, so bucket-wise addition across shards with
-     possibly different bound grids is well-defined. *)
-  match w with
-  | Some (Wire.List items) ->
-      let prev = ref 0 in
-      List.filter_map
-        (function
-          | Wire.Obj _ as o -> (
-              match (Wire.member "le" o, Wire.member "cumulative" o) with
-              | Some le, Some (Wire.Int cum) ->
-                  let le =
-                    match le with
-                    | Wire.Float f -> f
-                    | Wire.Int n -> float_of_int n
-                    | _ -> Float.nan
-                  in
-                  let d = cum - !prev in
-                  prev := cum;
-                  if Float.is_nan le then None else Some (le, d)
-              | _ -> None)
-          | _ -> None)
-        items
-  | _ -> []
-
-let decode_sample w =
-  match (Wire.member "name" w, Wire.member "kind" w) with
-  | Some (Wire.String name), Some (Wire.String kind) ->
-      let labels = decode_labels (Wire.member "labels" w) in
-      let help =
-        match Wire.member "help" w with Some (Wire.String h) -> h | _ -> ""
-      in
-      let value =
-        match kind with
-        | "histogram" ->
-            let count =
-              match Wire.member "count" w with
-              | Some (Wire.Int n) -> n
-              | _ -> 0
-            in
-            let sum =
-              match Wire.member "sum" w with
-              | Some (Wire.Float f) -> f
-              | Some (Wire.Int n) -> float_of_int n
-              | _ -> 0.0
-            in
-            Some
-              (Hist
-                 { buckets = decode_buckets (Wire.member "buckets" w); count; sum })
-        | _ -> (
-            match Wire.member "value" w with
-            | Some (Wire.Int n) -> Some (Num (float_of_int n, true))
-            | Some (Wire.Float f) -> Some (Num (f, false))
-            | _ -> None)
-      in
-      Option.map (fun value -> { name; kind; labels; help; value }) value
-  | _ -> None
-
-let merge_buckets a b =
-  (* Union of the two bound grids, per-bucket counts added where bounds
-     coincide. Both lists are ascending in le. *)
-  let rec go a b acc =
-    match (a, b) with
-    | [], rest | rest, [] -> List.rev_append acc rest
-    | (la, ca) :: ta, (lb, cb) :: tb ->
-        if la < lb then go ta b ((la, ca) :: acc)
-        else if lb < la then go a tb ((lb, cb) :: acc)
-        else go ta tb ((la, ca + cb) :: acc)
-  in
-  go a b []
-
-let add_into dst src =
-  match (dst.value, src.value) with
-  | Num (a, ia), Num (b, ib) -> dst.value <- Num (a +. b, ia && ib)
-  | Hist h, Hist h' ->
-      h.buckets <- merge_buckets h.buckets h'.buckets;
-      h.count <- h.count + h'.count;
-      h.sum <- h.sum +. h'.sum
-  | _ -> () (* kind clash across shards: keep the first *)
-
-let metrics docs =
-  let tbl = Hashtbl.create 64 in
-  let order = ref [] in
-  List.iter
-    (fun doc ->
-      match Wire.member "metrics" doc with
-      | Some (Wire.List samples) ->
-          List.iter
-            (fun w ->
-              match decode_sample w with
-              | None -> ()
-              | Some s -> (
-                  let key = (s.name, s.labels) in
-                  match Hashtbl.find_opt tbl key with
-                  | Some dst -> add_into dst s
-                  | None ->
-                      Hashtbl.add tbl key s;
-                      order := key :: !order))
-            samples
-      | _ -> ())
-    docs;
-  let samples =
-    List.rev_map (Hashtbl.find tbl) !order
-    |> List.sort (fun a b ->
-           match String.compare a.name b.name with
-           | 0 -> compare a.labels b.labels
-           | c -> c)
-  in
-  let one s =
-    let fields =
-      match s.value with
-      | Num (v, true) -> [ ("value", Wire.Int (int_of_float v)) ]
-      | Num (v, false) -> [ ("value", Wire.Float v) ]
-      | Hist h ->
-          let cum = ref 0 in
-          [
-            ( "buckets",
-              Wire.List
-                (List.map
-                   (fun (le, d) ->
-                     cum := !cum + d;
-                     Wire.Obj
-                       [ ("le", Wire.Float le); ("cumulative", Wire.Int !cum) ])
-                   h.buckets) );
-            ("count", Wire.Int h.count);
-            ("sum", Wire.Float h.sum);
-          ]
-    in
-    Wire.Obj
-      ([
-         ("name", Wire.String s.name);
-         ("kind", Wire.String s.kind);
-         ("labels", Wire.Obj (List.map (fun (k, v) -> (k, Wire.String v)) s.labels));
-       ]
-      @ (if s.help = "" then [] else [ ("help", Wire.String s.help) ])
-      @ fields)
-  in
-  Wire.Obj [ ("metrics", Wire.List (List.map one samples)) ]
-
-(* ------------------------------------------------------------------ *)
-(* Prometheus rendering of a merged document *)
-
-let float_str x = Wire.print (Wire.Float x)
-
-let bprint_labels b labels =
-  match labels with
-  | [] -> ()
-  | _ ->
-      Buffer.add_char b '{';
-      List.iteri
-        (fun i (k, v) ->
-          if i > 0 then Buffer.add_char b ',';
-          Printf.bprintf b "%s=%S" k v)
-        labels;
-      Buffer.add_char b '}'
-
-let prometheus doc =
-  let b = Buffer.create 1024 in
-  let seen_header = Hashtbl.create 16 in
-  let samples =
-    match Wire.member "metrics" doc with
-    | Some (Wire.List samples) -> List.filter_map decode_sample samples
-    | _ -> []
-  in
-  List.iter
-    (fun s ->
-      if not (Hashtbl.mem seen_header s.name) then begin
-        Hashtbl.add seen_header s.name ();
-        if s.help <> "" then Printf.bprintf b "# HELP %s %s\n" s.name s.help;
-        Printf.bprintf b "# TYPE %s %s\n" s.name s.kind
-      end;
-      match s.value with
-      | Num (v, is_int) ->
-          if s.kind = "counter" && is_int then
-            Printf.bprintf b "%s%a %d\n" s.name bprint_labels s.labels
-              (int_of_float v)
-          else
-            Printf.bprintf b "%s%a %s\n" s.name bprint_labels s.labels
-              (float_str v)
-      | Hist h ->
-          let cum = ref 0 in
-          List.iter
-            (fun (le, d) ->
-              cum := !cum + d;
-              Printf.bprintf b "%s_bucket%a %d\n" s.name bprint_labels
-                (s.labels @ [ ("le", float_str le) ])
-                !cum)
-            h.buckets;
-          Printf.bprintf b "%s_bucket%a %d\n" s.name bprint_labels
-            (s.labels @ [ ("le", "+Inf") ])
-            h.count;
-          Printf.bprintf b "%s_sum%a %s\n" s.name bprint_labels s.labels
-            (float_str h.sum);
-          Printf.bprintf b "%s_count%a %d\n" s.name bprint_labels s.labels
-            h.count)
-    samples;
-  Buffer.contents b

@@ -1,36 +1,16 @@
-(** Cross-shard aggregation of [stats], [metrics] and [health] payloads.
+(** Cross-shard aggregation of [stats] and [health] payloads.
 
     Fan-out requests return one payload per live shard; the router merges
     them into a single cluster-wide view while keeping the per-shard
     breakdown alongside (the router builds that part — this module only
-    implements the merge arithmetic).
-
-    Merging is exact, not approximate: counters add, histogram buckets
-    with identical bounds add cumulative counts bucket-wise (the sum of
-    step functions is the step function of the sums), and [sum]/[count]
-    add. The reconciliation property — each aggregate equals the sum of
-    its per-shard values — is pinned in [test/test_cluster.ml] against
-    synthetic three-shard payloads. *)
+    implements the merge arithmetic). [metrics] payloads are merged by
+    {!Rvu_obs.Metrics.merge}, which owns that document. *)
 
 val sum_json : Rvu_service.Wire.t list -> Rvu_service.Wire.t
 (** Structural numeric sum of homogeneous JSON documents, used for
     [stats] payloads: objects merge key-wise (field order follows first
     appearance), [Int]/[Float] leaves add ([Int] is kept when every
     summand is an [Int]), any other leaf keeps the first shard's value
-    (strings like the uptime are informational, not additive). *)
-
-val metrics : Rvu_service.Wire.t list -> Rvu_service.Wire.t
-(** Merge {!Rvu_obs.Metrics.json} documents. Samples are keyed on
-    [(name, labels)]; counters and gauges sum, histograms merge
-    bucket-wise on the bucket bound [le] (cumulative counts add; a bound
-    present in only some shards is re-cumulated into the union grid),
-    [count]/[sum] add, [help] and [kind] come from the first occurrence.
-    The result is sorted by name then labels, same as a single registry's
-    snapshot, and is itself a valid [Metrics.json] document. *)
-
-val prometheus : Rvu_service.Wire.t -> string
-(** Render a {!metrics}-merged JSON document in the Prometheus text
-    format, byte-compatible with {!Rvu_obs.Metrics.expose}: one
-    [# HELP]/[# TYPE] header per name, [_bucket]/[_sum]/[_count] series
-    for histograms, floats printed through the {!Rvu_service.Wire}
-    shortest-round-trip printer. *)
+    (strings like the uptime are informational, not additive). The
+    reconciliation property — each aggregate equals the sum of its
+    per-shard values — is pinned in [test/test_cluster.ml]. *)

@@ -358,66 +358,54 @@ let resolve_shard t (sh : shard) rid_opt ~build ~parsed =
           leave t
       | Some (Internal i, _) -> i.deliver (parsed ()))
 
-let handle_shard_line t (sh : shard) line =
-  let parsed = lazy (Wire.parse line) in
-  let rid_opt, build =
-    match Frame.response_spans line with
-    | Some (rid, id_span, ctx_span) ->
-        ( Some rid,
-          fun (r : routed) ->
-            match r.r_client with
-            | Wb.Json ->
-                Frame.splice_response line ~id_span ~ctx_span ~id:r.r_id_bytes
-                  ~ctx:(Some r.r_ctx_bytes)
-            | Wb.Binary -> (
-                match Lazy.force parsed with
-                | Ok w -> Wb.encode (substitute_envelope w r)
-                | Error _ ->
-                    Wb.encode
-                      (Proto.error_response ~ctx:r.r_ctx.cid ~id:r.r_id
-                         Proto.Internal "unreadable shard response")) )
-    | None -> (
-        match Lazy.force parsed with
-        | Ok w -> (
-            match Wire.member "id" w with
-            | Some (Wire.Int rid) ->
-                ( Some rid,
-                  fun (r : routed) ->
-                    Conn.encode r.r_client (substitute_envelope w r) )
-            | _ -> (None, fun _ -> line))
-        | Error _ -> (None, fun _ -> line))
+(* One shard reply, a record in the shard codec [t.config.wire]. The
+   fast path scans the reply's id and ctx value spans and, when the client
+   speaks the shard codec too, splices the client's in; a client on the
+   other codec gets the decoded reply with them substituted. A reply the
+   scan cannot read is matched on its decoded ["id"] instead. *)
+let handle_shard_record t (sh : shard) record =
+  let wire = t.config.wire in
+  let parsed = lazy (Conn.decode wire record) in
+  let substituted (r : routed) =
+    Conn.encode r.r_client
+      (match Lazy.force parsed with
+      | Ok w -> substitute_envelope w r
+      | Error _ ->
+          Proto.error_response ~ctx:r.r_ctx.cid ~id:r.r_id Proto.Internal
+            "unreadable shard response")
   in
-  resolve_shard t sh rid_opt ~build ~parsed:(fun () ->
-      Result.to_option (Lazy.force parsed))
-
-let handle_shard_frame t (sh : shard) payload =
-  let parsed = lazy (Wb.decode payload) in
+  let spliced =
+    match wire with
+    | Wb.Json ->
+        Option.map
+          (fun (rid, id_span, ctx_span) ->
+            ( rid,
+              fun (r : routed) ->
+                Frame.splice_response record ~id_span ~ctx_span
+                  ~id:r.r_id_bytes ~ctx:(Some r.r_ctx_bytes) ))
+          (Frame.response_spans record)
+    | Wb.Binary ->
+        Option.map
+          (fun (rid, id_span, ctx_span) ->
+            ( rid,
+              fun (r : routed) ->
+                Frame.bin_splice_response record ~id_span ~ctx_span
+                  ~id:r.r_id_bytes ~ctx:r.r_ctx_bytes ))
+          (Frame.bin_response_spans record)
+  in
   let rid_opt, build =
-    match Frame.bin_response_spans payload with
-    | Some (rid, id_span, ctx_span) ->
+    match spliced with
+    | Some (rid, splice) ->
         ( Some rid,
           fun (r : routed) ->
-            match r.r_client with
-            | Wb.Binary ->
-                Frame.bin_splice_response payload ~id_span ~ctx_span
-                  ~id:r.r_id_bytes ~ctx:r.r_ctx_bytes
-            | Wb.Json -> (
-                match Lazy.force parsed with
-                | Ok w -> Wire.print (substitute_envelope w r)
-                | Error _ ->
-                    Wire.print
-                      (Proto.error_response ~ctx:r.r_ctx.cid ~id:r.r_id
-                         Proto.Internal "unreadable shard response")) )
+            if r.r_client = wire then splice r else substituted r )
     | None -> (
         match Lazy.force parsed with
         | Ok w -> (
             match Wire.member "id" w with
-            | Some (Wire.Int rid) ->
-                ( Some rid,
-                  fun (r : routed) ->
-                    Conn.encode r.r_client (substitute_envelope w r) )
-            | _ -> (None, fun _ -> payload))
-        | Error _ -> (None, fun _ -> payload))
+            | Some (Wire.Int rid) -> (Some rid, substituted)
+            | _ -> (None, fun _ -> record))
+        | Error _ -> (None, fun _ -> record))
   in
   resolve_shard t sh rid_opt ~build ~parsed:(fun () ->
       Result.to_option (Lazy.force parsed))
@@ -428,10 +416,7 @@ let spawn_reader t (sh : shard) conn =
     Domain.spawn (fun () ->
         (try
            Conn.read_records ~max_bytes:t.config.max_request_bytes
-             t.config.wire conn.ic
-             (match t.config.wire with
-             | Wb.Json -> handle_shard_line t sh
-             | Wb.Binary -> handle_shard_frame t sh)
+             t.config.wire conn.ic (handle_shard_record t sh)
          with _ -> ());
         mark_down t sh ~gen:conn.gen ~reason:"connection closed";
         (* Single closer: the reader owns the descriptor's lifetime. The
@@ -772,10 +757,13 @@ let handle_fanout t ~client env ~respond =
               ("shards", per_shard "health");
             ]
       | Proto.Metrics fmt -> (
-          let merged = Merge.metrics (Metrics.json () :: oks) in
+          let merged =
+            Metrics.merge (Metrics.snapshot () :: List.map Metrics.of_json oks)
+          in
           match fmt with
-          | Proto.Metrics_json -> merged
-          | Proto.Metrics_prometheus -> Wire.String (Merge.prometheus merged))
+          | Proto.Metrics_json -> Metrics.to_json merged
+          | Proto.Metrics_prometheus ->
+              Wire.String (Metrics.to_prometheus merged))
       | _ -> Wire.Null
     in
     respond

@@ -22,8 +22,9 @@
       restarted with [restart_backoff_ms] backoff; a returning shard is
       re-admitted only after a probe reports it ready;
     - [stats], [metrics] and [health] requests fan out to every connected
-      shard and return merged aggregates ({!Merge}) with the per-shard
-      breakdown retained.
+      shard and return merged aggregates ({!Merge} for [stats] and
+      [health], {!Rvu_obs.Metrics.merge} for [metrics]) with the
+      per-shard breakdown retained.
 
     Router-side observability lands in the process registry as
     [rvu_router_*]: per-shard in-flight gauges and routed/evicted/restart

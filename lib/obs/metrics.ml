@@ -6,8 +6,6 @@ type gauge = {
   mutable g_value : float;
 }
 
-type exemplar = { e_value : float; e_trace : string; e_ts : float }
-
 type histogram = {
   h_ident : string * (string * string) list;
   h_lock : Mutex.t;
@@ -17,9 +15,9 @@ type histogram = {
   mutable h_sum : float;
   mutable samples : float array option; (* Some when retaining; grown 2x *)
   mutable n_samples : int;
-  mutable h_exemplars : exemplar option array option;
+  mutable h_exemplars : (float * string * float) option array option;
       (* length bounds + 1, allocated on the first exemplar; slot i holds
-         the latest exemplar that landed in bucket i *)
+         the latest (value, trace id, unix time) that landed in bucket i *)
 }
 
 type metric = C of counter | G of gauge | H of histogram
@@ -214,9 +212,7 @@ let observe h x =
                  h.h_exemplars <- Some a;
                  a
            in
-           arr.(i) <-
-             Some
-               { e_value = x; e_trace = trace_id; e_ts = Unix.gettimeofday () });
+           arr.(i) <- Some (x, trace_id, Unix.gettimeofday ()));
     Mutex.unlock h.h_lock
   end
 
@@ -285,10 +281,7 @@ let exemplars h =
   locked_h h (fun () ->
       match h.h_exemplars with
       | None -> []
-      | Some arr ->
-          Array.to_list arr
-          |> List.filter_map
-               (Option.map (fun e -> (e.e_value, e.e_trace, e.e_ts))))
+      | Some arr -> List.filter_map Fun.id (Array.to_list arr))
 
 (* ------------------------------------------------------------------ *)
 (* Exposition *)
@@ -296,7 +289,12 @@ let exemplars h =
 type value =
   | Counter of int
   | Gauge of float
-  | Histogram of { buckets : (float * int) list; count : int; sum : float }
+  | Histogram of {
+      buckets : (float * int) list;
+      count : int;
+      sum : float;
+      exemplars : (float * string * float) option list;
+    }
 
 type sample = {
   name : string;
@@ -322,23 +320,161 @@ let sample_of { help; metric } =
                 cum := !cum + h.counts.(i);
                 (h.bounds.(i), !cum))
           in
+          let exemplars =
+            match h.h_exemplars with None -> [] | Some a -> Array.to_list a
+          in
           {
             name;
             help;
             labels;
-            value = Histogram { buckets; count = h.h_count; sum = h.h_sum };
+            value =
+              Histogram
+                { buckets; count = h.h_count; sum = h.h_sum; exemplars };
           })
+
+let by_ident a b =
+  match String.compare a.name b.name with
+  | 0 -> compare a.labels b.labels
+  | c -> c
 
 let snapshot () =
   Mutex.lock registry_lock;
   let regs = Hashtbl.fold (fun _ r acc -> r :: acc) registry [] in
   Mutex.unlock registry_lock;
-  List.sort
-    (fun a b ->
-      match String.compare a.name b.name with
-      | 0 -> compare a.labels b.labels
-      | c -> c)
-    (List.map sample_of regs)
+  List.sort by_ident (List.map sample_of regs)
+
+(* The sum of two cumulative bucket lists is the sum of their step
+   functions, read at every bound of either grid: [ca]/[cb] carry each
+   side's count at the last bound already passed. *)
+let rec add_cumulative ca a cb b =
+  match (a, b) with
+  | [], [] -> []
+  | (la, xa) :: ta, (lb, _) :: _ when la < lb ->
+      (la, xa + cb) :: add_cumulative xa ta cb b
+  | (la, _) :: _, (lb, xb) :: tb when lb < la ->
+      (lb, ca + xb) :: add_cumulative ca a xb tb
+  | (la, xa) :: ta, (_, xb) :: tb -> (la, xa + xb) :: add_cumulative xa ta xb tb
+  | (la, xa) :: ta, [] -> (la, xa + cb) :: add_cumulative xa ta cb []
+  | [], (lb, xb) :: tb -> (lb, ca + xb) :: add_cumulative ca [] xb tb
+
+let add a b =
+  match (a, b) with
+  | Counter x, Counter y -> Some (Counter (x + y))
+  | Gauge x, Gauge y -> Some (Gauge (x +. y))
+  | Histogram h, Histogram h' ->
+      Some
+        (Histogram
+           {
+             buckets = add_cumulative 0 h.buckets 0 h'.buckets;
+             count = h.count + h'.count;
+             sum = h.sum +. h'.sum;
+             exemplars = [];
+           })
+  | _ -> None
+
+let merge lists =
+  let tbl = Hashtbl.create 64 in
+  List.iter
+    (fun s ->
+      let id = (s.name, s.labels) in
+      match (Hashtbl.find_opt tbl id, s.value) with
+      | None, Histogram h ->
+          let value = Histogram { h with exemplars = [] } in
+          Hashtbl.add tbl id { s with value }
+      | None, _ -> Hashtbl.add tbl id s
+      | Some first, value ->
+          Option.iter
+            (fun value -> Hashtbl.replace tbl id { first with value })
+            (add first.value value))
+    (List.concat lists);
+  List.sort by_ident (Hashtbl.fold (fun _ s acc -> s :: acc) tbl [])
+
+let kind_of = function
+  | Counter _ -> "counter"
+  | Gauge _ -> "gauge"
+  | Histogram _ -> "histogram"
+
+let to_json samples =
+  let one s =
+    let fields =
+      match s.value with
+      | Counter v -> [ ("value", Wire.Int v) ]
+      | Gauge v -> [ ("value", Wire.Float v) ]
+      | Histogram { buckets; count; sum; exemplars = _ } ->
+          [
+            ( "buckets",
+              Wire.List
+                (List.map
+                   (fun (le, cum) ->
+                     Wire.Obj
+                       [ ("le", Wire.Float le); ("cumulative", Wire.Int cum) ])
+                   buckets) );
+            ("count", Wire.Int count);
+            ("sum", Wire.Float sum);
+          ]
+    in
+    Wire.Obj
+      ([
+         ("name", Wire.String s.name);
+         ("kind", Wire.String (kind_of s.value));
+         ( "labels",
+           Wire.Obj (List.map (fun (k, v) -> (k, Wire.String v)) s.labels) );
+       ]
+      @ (if s.help = "" then [] else [ ("help", Wire.String s.help) ])
+      @ fields)
+  in
+  Wire.Obj [ ("metrics", Wire.List (List.map one samples)) ]
+
+let of_json doc =
+  let str = function Some (Wire.String s) -> Some s | _ -> None in
+  let int = function Some (Wire.Int n) -> Some n | _ -> None in
+  let num = function
+    | Some (Wire.Int n) -> Some (float_of_int n)
+    | Some (Wire.Float f) when Float.is_finite f -> Some f
+    | _ -> None
+  in
+  (* Only a strictly ascending grid of finite bounds is a histogram's;
+     a bucket that breaks it is dropped, leaving a coarser grid. *)
+  let rec ascending prev = function
+    | Wire.Obj _ as o :: rest -> (
+        match (num (Wire.member "le" o), int (Wire.member "cumulative" o)) with
+        | Some le, Some cum when le > prev -> (le, cum) :: ascending le rest
+        | _ -> ascending prev rest)
+    | _ :: rest -> ascending prev rest
+    | [] -> []
+  in
+  let value w = function
+    | "counter" -> Option.map (fun v -> Counter v) (int (Wire.member "value" w))
+    | "gauge" -> Option.map (fun v -> Gauge v) (num (Wire.member "value" w))
+    | "histogram" ->
+        let buckets =
+          match Wire.member "buckets" w with
+          | Some (Wire.List l) -> ascending Float.neg_infinity l
+          | _ -> []
+        in
+        let count = Option.value ~default:0 (int (Wire.member "count" w)) in
+        let sum = Option.value ~default:0.0 (num (Wire.member "sum" w)) in
+        Some (Histogram { buckets; count; sum; exemplars = [] })
+    | _ -> None
+  in
+  let sample w =
+    match (str (Wire.member "name" w), str (Wire.member "kind" w)) with
+    | Some name, Some kind ->
+        let labels =
+          match Wire.member "labels" w with
+          | Some (Wire.Obj fields) ->
+              List.filter_map
+                (function k, Wire.String v -> Some (k, v) | _ -> None)
+                fields
+          | _ -> []
+        in
+        let help = Option.value ~default:"" (str (Wire.member "help" w)) in
+        Option.map (fun value -> { name; help; labels; value }) (value w kind)
+    | _ -> None
+  in
+  match Wire.member "metrics" doc with
+  | Some (Wire.List l) -> List.filter_map sample l
+  | _ -> []
 
 (* Shortest-round-trip float rendering, borrowed from the JSON printer so
    Prometheus and JSON exposition print identical numbers. *)
@@ -359,151 +495,55 @@ let bprint_labels b labels =
         labels;
       Buffer.add_char b '}'
 
-let expose () =
+(* The OpenMetrics flavour adds exemplar annotations to bucket lines and
+   the mandatory [# EOF] terminator. Counter series keep their registry
+   spelling (already [_total]-suffixed), so this is pragmatic OpenMetrics
+   — enough for exemplar-aware scrapers — not a conformance-complete
+   encoder. *)
+let to_prometheus ?(openmetrics = false) samples =
   let b = Buffer.create 1024 in
   let seen_header = Hashtbl.create 16 in
   List.iter
     (fun s ->
-      let kind =
-        match s.value with
-        | Counter _ -> "counter"
-        | Gauge _ -> "gauge"
-        | Histogram _ -> "histogram"
-      in
       if not (Hashtbl.mem seen_header s.name) then begin
         Hashtbl.add seen_header s.name ();
         if s.help <> "" then Printf.bprintf b "# HELP %s %s\n" s.name s.help;
-        Printf.bprintf b "# TYPE %s %s\n" s.name kind
+        Printf.bprintf b "# TYPE %s %s\n" s.name (kind_of s.value)
       end;
       match s.value with
-      | Counter v -> Printf.bprintf b "%s%a %d\n" s.name bprint_labels s.labels v
+      | Counter v ->
+          Printf.bprintf b "%s%a %d\n" s.name bprint_labels s.labels v
       | Gauge v ->
           Printf.bprintf b "%s%a %s\n" s.name bprint_labels s.labels
             (float_str v)
-      | Histogram { buckets; count; sum } ->
-          List.iter
-            (fun (le, cum) ->
-              Printf.bprintf b "%s_bucket%a %d\n" s.name bprint_labels
-                (s.labels @ [ ("le", float_str le) ])
-                cum)
-            buckets;
-          Printf.bprintf b "%s_bucket%a %d\n" s.name bprint_labels
-            (s.labels @ [ ("le", "+Inf") ])
-            count;
+      | Histogram { buckets; count; sum; exemplars } ->
+          (* Exemplars align with the bucket lines, [+Inf] last. *)
+          let pending = ref (if openmetrics then exemplars else []) in
+          let bucket le cum =
+            Printf.bprintf b "%s_bucket%a %d" s.name bprint_labels
+              (s.labels @ [ ("le", le) ])
+              cum;
+            (match !pending with
+            | e :: rest ->
+                pending := rest;
+                Option.iter
+                  (fun (v, trace, ts) ->
+                    Printf.bprintf b " # {trace_id=%S} %s %s" trace
+                      (float_str v) (float_str ts))
+                  e
+            | [] -> ());
+            Buffer.add_char b '\n'
+          in
+          List.iter (fun (le, cum) -> bucket (float_str le) cum) buckets;
+          bucket "+Inf" count;
           Printf.bprintf b "%s_sum%a %s\n" s.name bprint_labels s.labels
             (float_str sum);
-          Printf.bprintf b "%s_count%a %d\n" s.name bprint_labels s.labels count)
-    (snapshot ());
+          Printf.bprintf b "%s_count%a %d\n" s.name bprint_labels s.labels
+            count)
+    samples;
+  if openmetrics then Buffer.add_string b "# EOF\n";
   Buffer.contents b
 
-(* OpenMetrics-flavoured exposition: the Prometheus text above plus
-   exemplar annotations on histogram bucket lines and the mandatory
-   [# EOF] terminator. Counter series keep their registry spelling
-   (already [_total]-suffixed), so this is pragmatic OpenMetrics — enough
-   for exemplar-aware scrapers — not a conformance-complete encoder. *)
-let expose_openmetrics () =
-  let b = Buffer.create 1024 in
-  let regs =
-    Mutex.lock registry_lock;
-    let l = Hashtbl.fold (fun _ r acc -> r :: acc) registry [] in
-    Mutex.unlock registry_lock;
-    let id r =
-      match r.metric with
-      | C c -> c.c_ident
-      | G g -> g.g_ident
-      | H h -> h.h_ident
-    in
-    List.sort (fun a b -> compare (id a) (id b)) l
-  in
-  let seen_header = Hashtbl.create 16 in
-  let header name help kind =
-    if not (Hashtbl.mem seen_header name) then begin
-      Hashtbl.add seen_header name ();
-      if help <> "" then Printf.bprintf b "# HELP %s %s\n" name help;
-      Printf.bprintf b "# TYPE %s %s\n" name kind
-    end
-  in
-  let bprint_exemplar = function
-    | None -> ()
-    | Some e ->
-        Printf.bprintf b " # {trace_id=%S} %s %s" e.e_trace
-          (float_str e.e_value) (float_str e.e_ts)
-  in
-  List.iter
-    (fun { help; metric } ->
-      match metric with
-      | C c ->
-          let name, labels = c.c_ident in
-          header name help "counter";
-          Printf.bprintf b "%s%a %d\n" name bprint_labels labels
-            (counter_value c)
-      | G g ->
-          let name, labels = g.g_ident in
-          header name help "gauge";
-          Printf.bprintf b "%s%a %s\n" name bprint_labels labels
-            (float_str (gauge_value g))
-      | H h ->
-          let name, labels = h.h_ident in
-          header name help "histogram";
-          locked_h h (fun () ->
-              let ex i =
-                match h.h_exemplars with None -> None | Some a -> a.(i)
-              in
-              let cum = ref 0 in
-              Array.iteri
-                (fun i le ->
-                  cum := !cum + h.counts.(i);
-                  Printf.bprintf b "%s_bucket%a %d" name bprint_labels
-                    (labels @ [ ("le", float_str le) ])
-                    !cum;
-                  bprint_exemplar (ex i);
-                  Buffer.add_char b '\n')
-                h.bounds;
-              Printf.bprintf b "%s_bucket%a %d" name bprint_labels
-                (labels @ [ ("le", "+Inf") ])
-                h.h_count;
-              bprint_exemplar (ex (Array.length h.bounds));
-              Buffer.add_char b '\n';
-              Printf.bprintf b "%s_sum%a %s\n" name bprint_labels labels
-                (float_str h.h_sum);
-              Printf.bprintf b "%s_count%a %d\n" name bprint_labels labels
-                h.h_count))
-    regs;
-  Buffer.add_string b "# EOF\n";
-  Buffer.contents b
-
-let json () =
-  let labels_json labels =
-    Wire.Obj (List.map (fun (k, v) -> (k, Wire.String v)) labels)
-  in
-  let one s =
-    let kind, fields =
-      match s.value with
-      | Counter v -> ("counter", [ ("value", Wire.Int v) ])
-      | Gauge v -> ("gauge", [ ("value", Wire.Float v) ])
-      | Histogram { buckets; count; sum } ->
-          ( "histogram",
-            [
-              ( "buckets",
-                Wire.List
-                  (List.map
-                     (fun (le, cum) ->
-                       Wire.Obj
-                         [
-                           ("le", Wire.Float le); ("cumulative", Wire.Int cum);
-                         ])
-                     buckets) );
-              ("count", Wire.Int count);
-              ("sum", Wire.Float sum);
-            ] )
-    in
-    Wire.Obj
-      ([
-         ("name", Wire.String s.name);
-         ("kind", Wire.String kind);
-         ("labels", labels_json s.labels);
-       ]
-      @ (if s.help = "" then [] else [ ("help", Wire.String s.help) ])
-      @ fields)
-  in
-  Wire.Obj [ ("metrics", Wire.List (List.map one (snapshot ()))) ]
+let expose () = to_prometheus (snapshot ())
+let expose_openmetrics () = to_prometheus ~openmetrics:true (snapshot ())
+let json () = to_json (snapshot ())

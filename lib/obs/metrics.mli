@@ -118,7 +118,13 @@ val exemplars : histogram -> (float * string * float) list
     [(observed value, trace id, unix timestamp)] — empty until an
     observation lands while a context with a span context is ambient. *)
 
-(** {1 Exposition} *)
+(** {1 Exposition}
+
+    This module is the one owner of the metrics document. A {!sample}
+    list is what {!snapshot} reads from the registry, what {!of_json}
+    reads back from another process's [metrics] answer and what {!merge}
+    sums across processes; {!to_json} and {!to_prometheus} are its only
+    printers. *)
 
 type value =
   | Counter of int
@@ -128,6 +134,9 @@ type value =
           (** (upper bound, cumulative count) per finite bound, ascending *)
       count : int;
       sum : float;
+      exemplars : (float * string * float) option list;
+          (** per bucket, the finite bounds then [+Inf], the latest
+              exemplar as in {!exemplars}; [[]] when none was recorded *)
     }
 
 type sample = {
@@ -142,21 +151,49 @@ val snapshot : unit -> sample list
     fields are read under its own lock (consistent per metric, not
     across metrics — a scrape races with recording by design). *)
 
+val merge : sample list list -> sample list
+(** The cluster-wide view of several processes' samples, keyed on
+    [(name, labels)]: counters add as integers, gauges add, histograms
+    add bucket-wise on the union of their bound grids (the cumulative
+    count at every bound is the sum of the inputs' step functions there)
+    and their [count]/[sum] add. The first [help] wins, and a sample
+    whose kind clashes with the first of its identity is dropped.
+    Exemplars are per process and do not merge: merged histograms carry
+    none. Sorted as {!snapshot} sorts. *)
+
+val to_json : sample list -> Wire.t
+(** The JSON document
+    [{"metrics":[{"name":…,"kind":…,"labels":{…},"help":…,"value":…}]}]
+    ([help] omitted when empty); a histogram has
+    [buckets] ([{"le":…,"cumulative":…}] per finite bound), [count] and
+    [sum] in place of [value]. Exemplars are not rendered. *)
+
+val of_json : Wire.t -> sample list
+(** The inverse of {!to_json}, exemplars aside. Never raises: a sample it
+    cannot read (not an object, no string [name], an unknown [kind], a
+    counter without an integer [value], a gauge without a finite one) is
+    dropped, labels keep their string values only, a histogram keeps the
+    buckets whose finite bounds ascend, and its missing [count]/[sum]
+    read as 0. *)
+
+val to_prometheus : ?openmetrics:bool -> sample list -> string
+(** Prometheus text exposition format ([# HELP]/[# TYPE] once per name,
+    then samples; histograms as [_bucket{le=…}]/[_sum]/[_count] with
+    cumulative bucket counts ending at [le="+Inf"]). With
+    [~openmetrics:true] (default [false]) bucket lines carry
+    [# {trace_id="…"} value timestamp] exemplar annotations when present,
+    and the text ends with the mandatory [# EOF] terminator. *)
+
 val expose : unit -> string
-(** Prometheus text exposition format ([# HELP]/[# TYPE] then samples;
-    histograms as [_bucket{le=…}]/[_sum]/[_count] with cumulative bucket
-    counts ending at [le="+Inf"]). *)
+(** [to_prometheus (snapshot ())]. *)
 
 val expose_openmetrics : unit -> string
-(** The same exposition in OpenMetrics flavour: bucket lines carry
-    [# {trace_id="…"} value timestamp] exemplar annotations when present,
-    and the output ends with the mandatory [# EOF] terminator. Series
-    names and label rendering are identical to {!expose}. *)
+(** [to_prometheus ~openmetrics:true (snapshot ())]. No request serves
+    it: exemplars are rendered in-process only. *)
 
 val json : unit -> Wire.t
-(** The same snapshot as a JSON document:
-    [{"metrics":[{"name":…,"kind":…,"labels":{…},…}]}], printable with
-    {!Wire.print} / {!Wire.print_hum}. *)
+(** [to_json (snapshot ())], printable with {!Wire.print} /
+    {!Wire.print_hum}. *)
 
 (** {1 Kill switch} *)
 

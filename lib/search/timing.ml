@@ -24,3 +24,8 @@ let search_all_segments n =
   if n < 1 then invalid_arg "Timing.search_all_segments: n < 1";
   let rec go acc k = if k > n then acc else go (acc + search_round_segments k) (k + 1) in
   go 0 1
+
+(* Round n of Algorithm 7 (a wait, SearchAll(n), SearchAllRev(n)) has
+   2·SearchAll(n) + 1 = 2^(2n+4) + 6n² − 4n − 15 segments: 2^60 + 4577 at
+   n = 28, past max_int = 2^62 − 1 from n = 29. *)
+let max_schedule_round = 28

@@ -25,4 +25,11 @@ val search_round_segments : int -> int
     [3·2^(2k+1) + 6k − 5]. Grows as Θ(4ᵏ) — the reason programs are lazy. *)
 
 val search_all_segments : int -> int
-(** Segment count of [SearchAll(n)]. *)
+(** Segment count of [SearchAll(n)]: [2^(2n+3) + 3n² − 2n − 8]. *)
+
+val max_schedule_round : int
+(** [28]: the last round [n] of Algorithm 7 (a wait, [SearchAll(n)] and
+    [SearchAllRev(n)]) whose segment count
+    [2·search_all_segments n + 1 = 2^(2n+4) + 6n² − 4n − 15] fits an
+    [int]; round 29's exceeds [max_int = 2^62 − 1] and would wrap.
+    [rvu schedule --rounds] is refused past it. *)

@@ -12,6 +12,7 @@ module Server = Rvu_service.Server
 module Ring = Rvu_cluster.Ring
 module Frame = Rvu_cluster.Frame
 module Merge = Rvu_cluster.Merge
+module Metrics = Rvu_obs.Metrics
 module Router = Rvu_cluster.Router
 
 let check_bool = Alcotest.(check bool)
@@ -299,7 +300,9 @@ let test_merge_metrics_reconciles () =
           ~count:3 ~sum:0.25;
       ]
   in
-  let merged = Merge.metrics [ s1; s2; s3 ] in
+  let merged =
+    Metrics.to_json (Metrics.merge (List.map Metrics.of_json [ s1; s2; s3 ]))
+  in
   (* Counters: keyed on (name, labels); same-label values sum, the
      label set only one shard reports survives alone. *)
   let counters =
@@ -354,7 +357,7 @@ let test_merge_metrics_reconciles () =
 
 let test_merge_prometheus_render () =
   let merged =
-    Merge.metrics
+    Metrics.merge @@ List.map Metrics.of_json
       [
         metrics_doc
           [
@@ -372,7 +375,7 @@ let test_merge_prometheus_render () =
           ];
       ]
   in
-  let text = Merge.prometheus merged in
+  let text = Metrics.to_prometheus merged in
   let has line =
     List.mem line (String.split_on_char '\n' text)
   in
@@ -391,6 +394,203 @@ let test_merge_prometheus_render () =
       (String.split_on_char '\n' text)
   in
   check_int "one TYPE header per name" 1 (List.length type_lines)
+
+(* Properties of the one metrics document, seeded so a failure replays.
+   Kinds are fixed per name and labels come from a small pool, so the
+   lists a property merges share identities. *)
+let sample_list_gen =
+  let open QCheck.Gen in
+  let label_sets =
+    [ []; [ ("k", "a") ]; [ ("k", "b") ]; [ ("k", "a"); ("q", "z") ] ]
+  in
+  let grid = [ 0.001; 0.01; 0.1; 0.5; 1.0; 2.5; 10.0 ] in
+  let counter = map (fun v -> Metrics.Counter v) (int_bound (1 lsl 58)) in
+  let gauge = map (fun v -> Metrics.Gauge v) (float_range (-1e6) 1e6) in
+  let histogram =
+    let* bounds =
+      map (List.filter_map Fun.id)
+        (flatten_l (List.map (fun le -> option ~ratio:0.5 (return le)) grid))
+    in
+    let* steps = flatten_l (List.map (fun _ -> int_bound 20) bounds) in
+    let* overflow = int_bound 20 in
+    let* sum = float_range 0.0 1e3 in
+    let* exemplars =
+      oneof
+        [
+          return [];
+          (* one slot per bucket line, [+Inf] included *)
+          flatten_l
+            (List.init
+               (List.length bounds + 1)
+               (fun _ ->
+                 option
+                   (triple (float_range 0.0 20.0)
+                      (string_size ~gen:(char_range 'a' 'f') (return 8))
+                      (float_range 1e9 2e9))));
+        ]
+    in
+    let cum = ref 0 in
+    let buckets =
+      List.map2
+        (fun le d ->
+          cum := !cum + d;
+          (le, !cum))
+        bounds steps
+    in
+    return
+      (Metrics.Histogram
+         { buckets; count = !cum + overflow; sum; exemplars })
+  in
+  let identity (name, value) labels =
+    let* present = bool in
+    if not present then return None
+    else
+      let* help = oneofl [ ""; "help text" ] in
+      let* value = value in
+      return (Some { Metrics.name; help; labels; value })
+  in
+  map (List.filter_map Fun.id)
+    (flatten_l
+       (List.concat_map
+          (fun kind -> List.map (identity kind) label_sets)
+          [
+            ("m_total", counter); ("m_gauge", gauge); ("m_seconds", histogram);
+          ]))
+
+let no_exemplars (s : Metrics.sample) =
+  match s.Metrics.value with
+  | Metrics.Histogram h ->
+      { s with Metrics.value = Metrics.Histogram { h with exemplars = [] } }
+  | _ -> s
+
+let print_samples l = Wire.print (Metrics.to_json l)
+
+let prop_metrics_json_roundtrip =
+  QCheck.Test.make ~count:300 ~name:"of_json inverts to_json, exemplars aside"
+    (QCheck.make ~print:print_samples sample_list_gen)
+    (fun l ->
+      let printed = Wire.print (Metrics.to_json l) in
+      Metrics.of_json (Result.get_ok (Wire.parse printed))
+      = List.map no_exemplars l)
+
+(* The cumulative count of one input's buckets at bound [le]: a step
+   function, 0 below its first bound. *)
+let cumulative_at buckets le =
+  List.fold_left (fun acc (b, c) -> if b <= le then c else acc) 0 buckets
+
+let prop_metrics_merge_reconciles =
+  QCheck.Test.make ~count:300 ~name:"merge reconciles per (name, labels)"
+    (QCheck.make
+       ~print:(fun ls -> String.concat "\n" (List.map print_samples ls))
+       QCheck.Gen.(list_size (int_range 1 4) sample_list_gen))
+    (fun lists ->
+      let merged = Metrics.merge lists in
+      let id (s : Metrics.sample) = (s.Metrics.name, s.Metrics.labels) in
+      let ids = List.sort_uniq compare (List.map id (List.concat lists)) in
+      List.map id merged = ids
+      && List.for_all
+           (fun (m : Metrics.sample) ->
+             let inputs =
+               List.filter (fun s -> id s = id m) (List.concat lists)
+             in
+             let first = List.hd inputs in
+             m.Metrics.help = first.Metrics.help
+             &&
+             match
+               (m.Metrics.value, List.map (fun s -> s.Metrics.value) inputs)
+             with
+             | Metrics.Counter v, vs ->
+                 v
+                 = List.fold_left
+                     (fun acc -> function
+                       | Metrics.Counter x -> acc + x | _ -> acc)
+                     0 vs
+             | Metrics.Gauge v, Metrics.Gauge v0 :: vs ->
+                 v
+                 = List.fold_left
+                     (fun acc -> function
+                       | Metrics.Gauge x -> acc +. x | _ -> acc)
+                     v0 vs
+             | Metrics.Histogram h, vs ->
+                 let hs =
+                   List.filter_map
+                     (function
+                       | Metrics.Histogram { buckets; count; sum; _ } ->
+                           Some (buckets, count, sum)
+                       | _ -> None)
+                     vs
+                 in
+                 let add f = List.fold_left (fun acc h' -> acc + f h') 0 hs in
+                 let bounds =
+                   List.sort_uniq compare
+                     (List.concat_map (fun (b, _, _) -> List.map fst b) hs)
+                 in
+                 List.map fst h.buckets = bounds
+                 && List.for_all
+                      (fun (le, cum) ->
+                        cum = add (fun (b, _, _) -> cumulative_at b le))
+                      h.buckets
+                 && h.count = add (fun (_, c, _) -> c)
+                 && h.sum
+                    = List.fold_left
+                        (fun acc (_, _, s) -> acc +. s)
+                        (let _, _, s = List.hd hs in s)
+                        (List.tl hs)
+                 && h.exemplars = []
+             | _ -> false)
+           merged)
+
+(* Hostile shapes a shard's answer could carry: wrong kinds, non-finite
+   numbers (a NaN bound among them), non-objects. *)
+let hostile =
+  Wire.
+    [
+      Null; Bool true; Int (-1); Int max_int; Float Float.nan;
+      Float Float.infinity; String "histogram"; String "counter";
+      String "gauge"; List []; Obj []; List [ Obj [] ];
+    ]
+
+let rec mutate v =
+  let open QCheck.Gen in
+  frequency
+    [
+      ( 8,
+        match v with
+        | Wire.Obj fields ->
+            map
+              (fun fs -> Wire.Obj (List.filter_map Fun.id fs))
+              (flatten_l
+                 (List.map
+                    (fun (k, x) ->
+                      frequency
+                        [
+                          (1, return None);
+                          (6, map (fun x -> Some (k, x)) (mutate x));
+                        ])
+                    fields))
+        | Wire.List items ->
+            map (fun l -> Wire.List l) (flatten_l (List.map mutate items))
+        | v -> return v );
+      (1, oneofl hostile);
+    ]
+
+let rec printable = function
+  | Wire.Float f when not (Float.is_finite f) -> Wire.String (Float.to_string f)
+  | Wire.Obj fs -> Wire.Obj (List.map (fun (k, v) -> (k, printable v)) fs)
+  | Wire.List l -> Wire.List (List.map printable l)
+  | v -> v
+
+let prop_metrics_of_json_total =
+  QCheck.Test.make ~count:500
+    ~name:"of_json never raises and keeps only renderable samples"
+    (QCheck.make
+       ~print:(fun d -> Wire.print (printable d))
+       QCheck.Gen.(sample_list_gen >>= fun l -> mutate (Metrics.to_json l)))
+    (fun doc ->
+      let samples = Metrics.of_json doc in
+      ignore (Wire.print (Metrics.to_json samples));
+      ignore (Metrics.to_prometheus ~openmetrics:true samples);
+      true)
 
 (* ------------------------------------------------------------------ *)
 (* Router over in-process TCP workers *)
@@ -589,6 +789,57 @@ let test_router_binary_bit_identity () =
       payloads
   done
 
+(* A shard reply the span scan cannot read (ctx ahead of id) is matched
+   on its decoded id instead: the client still gets its own id and ctx
+   back, in its own codec. The stand-in shard answers every line, probes
+   included, with a ready health body. *)
+let test_router_unscannable_reply () =
+  let module Wb = Rvu_service.Wire_bin in
+  let port = 7563 in
+  let sock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Unix.setsockopt sock Unix.SO_REUSEADDR true;
+  Unix.bind sock (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
+  Unix.listen sock 1;
+  let shard =
+    Domain.spawn (fun () ->
+        let fd, _ = Unix.accept sock in
+        let ic = Unix.in_channel_of_descr fd
+        and oc = Unix.out_channel_of_descr fd in
+        (try
+           while true do
+             let rid =
+               Option.bind (Result.to_option (Wire.parse (input_line ic)))
+                 (Wire.member "id")
+             in
+             Printf.fprintf oc
+               "{\"ctx\":\"shard\",\"id\":%s,\"ok\":{\"status\":\"ready\"}}\n%!"
+               (Wire.print (Option.value rid ~default:Wire.Null))
+           done
+         with End_of_file | Sys_error _ -> ());
+        Unix.close fd;
+        Unix.close sock)
+  in
+  let config =
+    {
+      Router.default_config with
+      route_timeout_ms = 2000.;
+      max_retries = 0;
+      connect_timeout_ms = 5000.;
+    }
+  in
+  let router = Router.create ~config ~endpoints:[ endpoint port ] () in
+  Fun.protect
+    ~finally:(fun () ->
+      Router.stop router;
+      Domain.join shard)
+  @@ fun () ->
+  let request = {|{"id":7,"kind":"feasibility"}|} in
+  let answer = {|{"ctx":"req-7","id":7,"ok":{"status":"ready"}}|} in
+  let encode line = Wb.encode (Result.get_ok (Wire.parse line)) in
+  check_string "JSON client" answer (Router.handle_sync router request);
+  check_string "binary client" (encode answer)
+    (Router.handle_payload_sync router (encode request))
+
 (* ------------------------------------------------------------------ *)
 
 let () =
@@ -624,7 +875,15 @@ let () =
             test_merge_metrics_reconciles;
           Alcotest.test_case "prometheus render" `Quick
             test_merge_prometheus_render;
-        ] );
+        ]
+        @ List.map
+            (QCheck_alcotest.to_alcotest
+               ~rand:(Random.State.make [| 0x21; 0x3e7c |]))
+            [
+              prop_metrics_json_roundtrip;
+              prop_metrics_merge_reconciles;
+              prop_metrics_of_json_total;
+            ] );
       ( "router",
         [
           Alcotest.test_case "bit identity and fan-out" `Quick
@@ -633,5 +892,7 @@ let () =
             test_router_routes_around_dead_endpoint;
           Alcotest.test_case "routed binary is byte-identical" `Quick
             test_router_binary_bit_identity;
+          Alcotest.test_case "unscannable shard reply falls back" `Quick
+            test_router_unscannable_reply;
         ] );
     ]

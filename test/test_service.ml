@@ -1592,6 +1592,35 @@ let test_overflowing_results_answered () =
         docs)
     [ (Wb.Json, Server.handle_sync); (Wb.Binary, Server.handle_payload_sync) ]
 
+(* Round 28 is the last whose segment count, 2^60 + 4577, fits an int:
+   its row carries that count and finite times on both wires. *)
+let test_schedule_last_round () =
+  let module Conn = Rvu_service.Conn in
+  List.iter
+    (fun (wire, handle_sync) ->
+      let answer =
+        Conn.encode wire
+          (Wire.Obj
+             [ ("kind", Wire.String "schedule"); ("rounds", Wire.Int 28) ])
+        |> answer_fresh handle_sync |> Conn.decode wire |> Result.get_ok
+      in
+      match
+        Option.bind (Wire.member "ok" answer) (Wire.member "rounds")
+      with
+      | Some (Wire.List rows) ->
+          let last = List.nth rows 27 in
+          check_bool "round 28's segment count" true
+            (Wire.member "segments" last = Some (Wire.Int 1152921504606851553));
+          List.iter
+            (fun k ->
+              check_bool (k ^ " is finite") true
+                (match Wire.member k last with
+                | Some (Wire.Float f) -> Float.is_finite f
+                | _ -> false))
+            [ "s"; "inactive_start"; "active_start"; "round_end" ]
+      | _ -> Alcotest.fail "rounds 28: no rows")
+    [ (Wb.Json, Server.handle_sync); (Wb.Binary, Server.handle_payload_sync) ]
+
 let () =
   Alcotest.run "service"
     [
@@ -1691,6 +1720,8 @@ let () =
             test_frame_hello_against_pinned_binary;
           Alcotest.test_case "overflowing results answered on both wires"
             `Quick test_overflowing_results_answered;
+          Alcotest.test_case "schedule's last round on both wires" `Quick
+            test_schedule_last_round;
         ]
         @ battery (fun config f -> with_conn config f) );
       ("routed transport", battery with_routed_conn);
