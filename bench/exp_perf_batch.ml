@@ -5,48 +5,19 @@
    batch results must be bit-identical between the two runs — the pool
    preserves order and the cache replays the exact floats a fresh
    realization would produce — and the ratio of monotonic wall times is
-   the speedup. Emits BENCH_1.json (override the path with RVU_BENCH_JSON)
-   so the perf trajectory is machine-readable from this PR onward. *)
+   the speedup. Emits BENCH_1.json so the perf trajectory is
+   machine-readable. *)
 
-open Rvu_geom
-open Rvu_core
 open Rvu_report
 
-(* A moderately deep instance family (round ~6-8 of the schedule): enough
-   work per instance to dwarf pool overhead, small enough that the whole
-   batch stays in seconds. Bearings and clocks vary so the tasks are
-   heterogeneous, exercising the chunked distribution. *)
-let instances =
-  let n = 24 in
-  Array.init n (fun i ->
-      let bearing = 0.2 +. (2.4 *. float_of_int i /. float_of_int n) in
-      let tau = 0.980 +. (0.002 *. float_of_int (i mod 6)) in
-      Rvu_sim.Engine.instance
-        ~attributes:(Attributes.make ~tau ())
-        ~displacement:(Vec2.of_polar ~radius:10.0 ~angle:bearing)
-        ~r:0.005)
-
-let total_intervals results =
-  Array.fold_left
-    (fun acc (res : Rvu_sim.Engine.result) ->
-      acc + res.Rvu_sim.Engine.stats.Rvu_sim.Detector.intervals)
-    0 results
-
-let identical (a : Rvu_sim.Engine.result array)
-    (b : Rvu_sim.Engine.result array) =
-  Array.length a = Array.length b
-  && Array.for_all2
-       (fun (x : Rvu_sim.Engine.result) (y : Rvu_sim.Engine.result) ->
-         x.Rvu_sim.Engine.outcome = y.Rvu_sim.Engine.outcome
-         && x.Rvu_sim.Engine.stats = y.Rvu_sim.Engine.stats)
-       a b
-
-let json_path () =
-  Option.value (Sys.getenv_opt "RVU_BENCH_JSON") ~default:"BENCH_1.json"
+(* A moderately deep slice of the family (round ~6-8 of the schedule):
+   enough work per instance to dwarf pool overhead, small enough that the
+   whole batch stays in seconds. Bearings and clocks vary so the tasks
+   are heterogeneous, exercising the chunked distribution. *)
+let instances = Util.instances ~n:24 ~d:10.0 ~r:0.005
 
 let write_json ~jobs_requested ~jobs ~intervals ~wall1 ~walln ~speedup
     ~parallel_wins ~warning =
-  let path = json_path () in
   let mi wall = float_of_int intervals /. Float.max 1e-9 wall /. 1e6 in
   let json =
     Rvu_service.Wire.Obj
@@ -72,10 +43,7 @@ let write_json ~jobs_requested ~jobs ~intervals ~wall1 ~walln ~speedup
       | None -> []
       | Some w -> [ ("warning", Rvu_service.Wire.String w) ])
   in
-  let oc = open_out path in
-  output_string oc (Rvu_service.Wire.print_hum json);
-  close_out oc;
-  Util.note "(json written to %s)" path
+  Util.write_artifact 1 json
 
 let run () =
   let jobs_requested = !Util.jobs in
@@ -90,17 +58,18 @@ let run () =
           Printf.sprintf " (requested %d, capped to hardware)" jobs_requested
         else ""));
   let seq_results, wall1 =
-    Util.wall_clock (fun () -> Rvu_exec.Batch.run ~horizon:1e13 ~jobs:1 instances)
+    Util.wall_clock (fun () ->
+        Rvu_exec.Batch.run ~horizon:Util.horizon ~jobs:1 instances)
   in
   let par_results, walln =
     if jobs <= 1 then (seq_results, wall1)
     else
       Util.wall_clock (fun () ->
-          Rvu_exec.Batch.run ~horizon:1e13 ~jobs instances)
+          Rvu_exec.Batch.run ~horizon:Util.horizon ~jobs instances)
   in
-  if not (identical seq_results par_results) then
+  if not (Util.identical seq_results par_results) then
     failwith "perf-batch: parallel results diverge from sequential";
-  let intervals = total_intervals seq_results in
+  let intervals = Util.total_intervals seq_results in
   let speedup = wall1 /. Float.max 1e-9 walln in
   let parallel_wins = jobs > 1 && speedup > 1.0 in
   let warning =

@@ -20,17 +20,14 @@
        re-prints bodies);
      - zero non-ok responses in every pass.
 
-   The scaling floor (default 2.5x) is enforced only when the machine has
-   enough cores to run 4 workers and the router concurrently (>= 5);
-   below that the run still reports honest numbers but only warns, since
-   process parallelism cannot exceed the core count. Override the floor
-   with RVU_PERF_CLUSTER_MIN (e.g. 0 to disable, 3.5 to tighten).
+   The scaling floor (2.5x) is enforced only when the machine has enough
+   cores to run 4 workers and the router concurrently (>= 5); below that
+   the run still reports honest numbers but only warns, since process
+   parallelism cannot exceed the core count.
 
-   Emits BENCH_7.json (override the path with RVU_BENCH7_JSON). *)
+   Emits BENCH_7.json. *)
 
-open Rvu_core
 module Wire = Rvu_service.Wire
-module Proto = Rvu_service.Proto
 module Loadgen = Rvu_service.Loadgen
 module Server = Rvu_service.Server
 module Router = Rvu_cluster.Router
@@ -39,64 +36,20 @@ let scenarios = 32
 let warm_requests = 3_000
 let base_port = 7610
 
-(* The scenario mix: distinct moderate simulate instances (same family as
-   perf-serve's workload, so the single-shard pass is comparable to
-   BENCH_2). [line ~id i] prints scenario [i mod scenarios] under the
-   given envelope id; the router masks the id out of the routing key, so
-   every copy of a scenario lands on the same shard. *)
-let request i =
-  let i = i mod scenarios in
-  let bearing = 0.2 +. (2.4 *. float_of_int i /. float_of_int scenarios) in
-  let tau = 0.980 +. (0.002 *. float_of_int (i mod 6)) in
-  Proto.Simulate
-    {
-      attrs = Attributes.make ~tau ();
-      d = 8.0;
-      bearing;
-      r = 0.01;
-      horizon = 1e13;
-      algorithm4 = false;
-      transform = Rvu_core.Symmetry.identity;
-    }
-
-let line ~id i = Wire.print (Proto.wire_of_request ~id:(Wire.Int id) (request i))
-
-(* The spawned workers run the real binary: resolve it next to this bench
-   executable (_build/default/bench/main.exe -> ../bin/rvu.exe), or take
-   RVU_BIN. *)
-let rvu_bin () =
-  match Sys.getenv_opt "RVU_BIN" with
-  | Some p -> p
-  | None ->
-      let p =
-        Filename.concat
-          (Filename.dirname (Filename.dirname Sys.executable_name))
-          "bin/rvu.exe"
-      in
-      if Sys.file_exists p then p
-      else
-        failwith
-          (Printf.sprintf
-             "perf-cluster: worker binary not found at %s (set RVU_BIN)" p)
-
-let worker_endpoint ~bin port =
-  {
-    Router.host = "127.0.0.1";
-    port;
-    spawn =
-      Some
-        [|
-          bin; "serve"; "--tcp"; string_of_int port; "--jobs"; "1";
-          "--cache-entries"; "256";
-        |];
-  }
+(* The scenario mix: distinct scenarios of the family (the perf-serve
+   workload's d and r, so the single-shard pass is comparable to BENCH_2).
+   [line ~id i] prints scenario [i mod scenarios] under the given envelope
+   id; the router masks the id out of the routing key, so every copy of a
+   scenario lands on the same shard. *)
+let line ~id i =
+  Util.line ~id (Util.scenario ~n:scenarios ~d:8.0 ~r:0.01 (i mod scenarios))
 
 (* One cluster pass: spawn, cold-run every scenario once (returns the
    responses for the bit-identity check and warms every shard's cache),
    then replay the warm mix flat-out and summarize. *)
 let bench_cluster ~shards ~bin =
   let endpoints =
-    List.init shards (fun i -> worker_endpoint ~bin (base_port + i))
+    List.init shards (fun i -> Util.worker ~bin (base_port + i))
   in
   let config = { Router.default_config with connect_timeout_ms = 20_000. } in
   let router = Router.create ~config ~endpoints () in
@@ -105,13 +58,10 @@ let bench_cluster ~shards ~bin =
     Array.init scenarios (fun i ->
         Router.handle_sync router (line ~id:(i + 1) i))
   in
-  let lines = Array.init warm_requests (fun k -> line ~id:(k + 1) k) in
-  let lg = Loadgen.create ~lines ~requests:warm_requests () in
-  Loadgen.drive lg ~send:(fun l ->
-      Router.handle_line router l ~respond:(Loadgen.note_response lg));
-  if not (Loadgen.wait lg) then
-    failwith "perf-cluster: responses missing after 120 s";
-  let s = Loadgen.summary lg in
+  let s =
+    Util.drive ~name:"perf-cluster" (Router.handle_line router)
+      (Array.init warm_requests (fun k -> line ~id:(k + 1) k))
+  in
   if s.Loadgen.ok <> s.Loadgen.requests then
     failwith
       (Printf.sprintf "perf-cluster: %d of %d warm requests not ok on %d shard(s)"
@@ -119,34 +69,12 @@ let bench_cluster ~shards ~bin =
          s.Loadgen.requests shards);
   (cold, s)
 
-let json_path () =
-  Option.value (Sys.getenv_opt "RVU_BENCH7_JSON") ~default:"BENCH_7.json"
-
-let min_scaling ~cores =
-  match
-    Option.bind (Sys.getenv_opt "RVU_PERF_CLUSTER_MIN") float_of_string_opt
-  with
-  | Some m -> m
-  | None -> if cores >= 5 then 2.5 else 0.0
-
-let pass_json (s : Loadgen.summary) =
-  Wire.Obj
-    [
-      ("wall_s", Wire.Float s.Loadgen.wall_s);
-      ("throughput_rps", Wire.Float s.Loadgen.throughput_rps);
-      ("p50_ms", Wire.Float s.Loadgen.p50_ms);
-      ("p95_ms", Wire.Float s.Loadgen.p95_ms);
-      ("p99_ms", Wire.Float s.Loadgen.p99_ms);
-      ("mean_ms", Wire.Float s.Loadgen.mean_ms);
-      ("max_ms", Wire.Float s.Loadgen.max_ms);
-    ]
-
 let run () =
   let cores = Domain.recommended_domain_count () in
   Util.banner "PERF-CLUSTER"
     (Printf.sprintf "Warm-cache scaling: 1 vs 4 worker shards (%d core(s))"
        cores);
-  let bin = rvu_bin () in
+  let bin = Util.rvu_bin ~name:"perf-cluster" in
 
   (* The bit-identity reference: the same scenarios through an in-process
      server with the workers' effective config. *)
@@ -176,7 +104,7 @@ let run () =
   let scaling =
     warm4.Loadgen.throughput_rps /. Float.max 1e-9 warm1.Loadgen.throughput_rps
   in
-  let floor = min_scaling ~cores in
+  let floor = if cores >= 5 then 2.5 else 0.0 in
   let enforced = floor > 0.0 in
   if enforced && scaling < floor then
     failwith
@@ -185,26 +113,8 @@ let run () =
           (floor %.2fx)"
          scaling floor);
 
-  let t =
-    Rvu_report.Table.create
-      ~columns:
-        (List.map Rvu_report.Table.column
-           [ "shards"; "wall (s)"; "req/s"; "p50 ms"; "p95 ms"; "p99 ms" ])
-  in
-  let row name (s : Loadgen.summary) =
-    Rvu_report.Table.add_row t
-      [
-        name;
-        Rvu_report.Table.fstr s.Loadgen.wall_s;
-        Rvu_report.Table.fstr s.Loadgen.throughput_rps;
-        Rvu_report.Table.fstr s.Loadgen.p50_ms;
-        Rvu_report.Table.fstr s.Loadgen.p95_ms;
-        Rvu_report.Table.fstr s.Loadgen.p99_ms;
-      ]
-  in
-  row "1" warm1;
-  row "4" warm4;
-  Util.table ~id:"perf-cluster" t;
+  Util.summary_table ~id:"perf-cluster" ~key:"shards"
+    [ ("1", warm1); ("4", warm4) ];
   Util.note
     "scaling %.2fx over %d warm requests (%d scenarios); bit-identical to a \
      direct server; floor %s."
@@ -240,8 +150,8 @@ let run () =
         ("scenarios", Wire.Int scenarios);
         ("warm_requests", Wire.Int warm_requests);
         ("cores", Wire.Int cores);
-        ("shard1", Wire.Obj [ ("warm", pass_json warm1) ]);
-        ("shard4", Wire.Obj [ ("warm", pass_json warm4) ]);
+        ("shard1", Wire.Obj [ ("warm", Loadgen.summary_json warm1) ]);
+        ("shard4", Wire.Obj [ ("warm", Loadgen.summary_json warm4) ]);
         ("scaling_x", Wire.Float scaling);
         ("scaling_floor", Wire.Float floor);
         ("scaling_floor_enforced", Wire.Bool enforced);
@@ -249,8 +159,4 @@ let run () =
         ("router", router_json);
       ]
   in
-  let path = json_path () in
-  let oc = open_out path in
-  output_string oc (Wire.print_hum json);
-  close_out oc;
-  Util.note "(json written to %s)" path
+  Util.write_artifact 7 json

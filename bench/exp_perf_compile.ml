@@ -8,43 +8,18 @@
    never the floats. Also samples Gc minor words per run for both
    kernels (the compiled path's reason to exist is allocation
    elimination) and replays a small checkpointed sweep atlas to verify
-   interrupted-run resume is byte-identical. Emits BENCH_6.json
-   (override the path with RVU_BENCH6_JSON).
+   interrupted-run resume is byte-identical. Emits BENCH_6.json.
 
    Gate: the run fails if the kernels' results diverge, if the resume
    atlas differs from the full-run atlas, or if the compiled/interpreted
-   speedup falls below RVU_PERF_COMPILE_MIN (default 2.0). *)
+   speedup falls below 2.0x. *)
 
 open Rvu_geom
 open Rvu_core
 open Rvu_report
 
-let instances =
-  let n = 24 in
-  Array.init n (fun i ->
-      let bearing = 0.2 +. (2.4 *. float_of_int i /. float_of_int n) in
-      let tau = 0.980 +. (0.002 *. float_of_int (i mod 6)) in
-      Rvu_sim.Engine.instance
-        ~attributes:(Attributes.make ~tau ())
-        ~displacement:(Vec2.of_polar ~radius:10.0 ~angle:bearing)
-        ~r:0.005)
-
-let horizon = 1e13
-
-let total_intervals results =
-  Array.fold_left
-    (fun acc (res : Rvu_sim.Engine.result) ->
-      acc + res.Rvu_sim.Engine.stats.Rvu_sim.Detector.intervals)
-    0 results
-
-let identical (a : Rvu_sim.Engine.result array)
-    (b : Rvu_sim.Engine.result array) =
-  Array.length a = Array.length b
-  && Array.for_all2
-       (fun (x : Rvu_sim.Engine.result) (y : Rvu_sim.Engine.result) ->
-         x.Rvu_sim.Engine.outcome = y.Rvu_sim.Engine.outcome
-         && x.Rvu_sim.Engine.stats = y.Rvu_sim.Engine.stats)
-       a b
+let instances = Util.instances ~n:24 ~d:10.0 ~r:0.005
+let horizon = Util.horizon
 
 (* Minor-heap words allocated by one engine run (single-instance, so the
    measurement is not smeared over pool workers on other domains), through
@@ -130,15 +105,6 @@ let resume_roundtrip () =
 
 (* ------------------------------------------------------------------ *)
 
-let json_path () =
-  Option.value (Sys.getenv_opt "RVU_BENCH6_JSON") ~default:"BENCH_6.json"
-
-let min_speedup () =
-  match Option.bind (Sys.getenv_opt "RVU_PERF_COMPILE_MIN") float_of_string_opt
-  with
-  | Some m -> m
-  | None -> 2.0
-
 let run () =
   let jobs_requested = !Util.jobs in
   let recommended = Domain.recommended_domain_count () in
@@ -161,7 +127,7 @@ let run () =
         Rvu_exec.Batch.run ~horizon ~kernel:Rvu_sim.Engine.Compiled ~jobs:1
           instances)
   in
-  if not (identical interp comp && identical warm comp) then
+  if not (Util.identical interp comp && Util.identical warm comp) then
     failwith "perf-compile: compiled results diverge from interpreted";
   let par, wall_p =
     if jobs <= 1 then (comp, wall_c)
@@ -170,9 +136,9 @@ let run () =
           Rvu_exec.Batch.run ~horizon ~kernel:Rvu_sim.Engine.Compiled ~jobs
             instances)
   in
-  if not (identical comp par) then
+  if not (Util.identical comp par) then
     failwith "perf-compile: parallel results diverge from sequential";
-  let intervals = total_intervals comp in
+  let intervals = Util.total_intervals comp in
   let mi wall = float_of_int intervals /. Float.max 1e-9 wall /. 1e6 in
   let speedup = wall_i /. Float.max 1e-9 wall_c in
   let par_speedup = wall_c /. Float.max 1e-9 wall_p in
@@ -232,14 +198,10 @@ let run () =
         ("resume_shards_recomputed", Rvu_service.Wire.Int resumed_shards);
       ]
   in
-  let path = json_path () in
-  let oc = open_out path in
-  output_string oc (Rvu_service.Wire.print_hum json);
-  close_out oc;
-  Util.note "(json written to %s)" path;
+  Util.write_artifact 6 json;
   if not resume_ok then
     failwith "perf-compile: resumed atlas is not byte-identical";
-  let floor = min_speedup () in
+  let floor = 2.0 in
   if speedup < floor then
     Printf.ksprintf failwith
       "perf-compile: compiled kernel speedup %.2fx below the %.2fx gate"

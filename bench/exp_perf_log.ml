@@ -20,9 +20,8 @@
    reconciles record counts three ways per logged run: the logger's own
    emitted counter, the NDJSON line count of the sink file, and the
    expected records-per-request times the request count — every line must
-   parse with Wire. Emits BENCH_5.json (override with RVU_BENCH5_JSON). *)
+   parse with Wire. Emits BENCH_5.json. *)
 
-open Rvu_core
 module Wire = Rvu_service.Wire
 module Loadgen = Rvu_service.Loadgen
 module Server = Rvu_service.Server
@@ -31,31 +30,14 @@ module Log = Rvu_obs.Log
 let requests = 384
 let runs = 5
 
-(* Distinct moderate simulate instances (ids 1..n) from the same
-   meets-in-round-5-6 family as the perf-serve cold workload — only the
-   bearing and tau vary; straying in d or r risks instances that run to
-   the horizon. The workload must be big enough that its wall is measured
-   in hundreds of milliseconds: the gate compares walls, and a run that
-   finishes in tens of milliseconds drowns a per-record cost of
+(* Distinct scenarios (ids 1..n) of the family at the perf-serve cold
+   workload's d and r. The workload must be big enough that its wall is
+   measured in hundreds of milliseconds: the gate compares walls, and a
+   run that finishes in tens of milliseconds drowns a per-record cost of
    microseconds in scheduler noise. *)
 let workload =
   Array.init requests (fun i ->
-      let bearing = 0.2 +. (2.4 *. float_of_int i /. float_of_int requests) in
-      let tau = 0.980 +. (0.002 *. float_of_int (i mod 6)) in
-      let request =
-        Rvu_service.Proto.Simulate
-          {
-            attrs = Attributes.make ~tau ();
-            d = 8.0;
-            bearing;
-            r = 0.01;
-            horizon = 1e13;
-            algorithm4 = false;
-            transform = Rvu_core.Symmetry.identity;
-          }
-      in
-      Wire.print
-        (Rvu_service.Proto.wire_of_request ~id:(Wire.Int (i + 1)) request))
+      Util.line ~id:(i + 1) (Util.scenario ~n:requests ~d:8.0 ~r:0.01 i))
 
 let count_lines path =
   let ic = open_in path in
@@ -90,14 +72,9 @@ let one_run ~jobs ~configure ~teardown () =
   let emitted0 = Log.emitted_records () in
   configure ();
   let server = Server.create ~config () in
-  let lg = Loadgen.create ~lines:workload ~requests () in
-  Loadgen.drive lg ~send:(fun line ->
-      Server.handle_line server line ~respond:(Loadgen.note_response lg));
-  if not (Loadgen.wait lg) then
-    failwith "perf-log: responses missing after 120 s";
+  let s = Util.drive ~name:"perf-log" (Server.handle_line server) workload in
   Server.stop server;
   teardown ();
-  let s = Loadgen.summary lg in
   if s.Loadgen.ok <> requests then
     failwith "perf-log: pass had non-ok responses";
   (s.Loadgen.wall_s, Log.emitted_records () - emitted0)
@@ -185,9 +162,6 @@ let per_record_cost ~log_file =
         best := Float.min !best (dt /. float_of_int n)
       done);
   !best
-
-let json_path () =
-  Option.value (Sys.getenv_opt "RVU_BENCH5_JSON") ~default:"BENCH_5.json"
 
 let run () =
   (* Pin the worker count: the subject is per-record logging cost, not
@@ -286,8 +260,4 @@ let run () =
         ("debug_e2e_delta_pct", Wire.Float (overhead off_wall debug_wall));
       ]
   in
-  let path = json_path () in
-  let oc = open_out path in
-  output_string oc (Wire.print_hum json);
-  close_out oc;
-  Util.note "(json written to %s)" path
+  Util.write_artifact 5 json

@@ -17,9 +17,8 @@
                  payload — the registry and the serving stack may never
                  drift apart.
 
-   Emits BENCH_8.json (override the path with RVU_BENCH8_JSON). *)
+   Emits BENCH_8.json. *)
 
-open Rvu_core
 module Wire = Rvu_service.Wire
 module Loadgen = Rvu_service.Loadgen
 module Server = Rvu_service.Server
@@ -35,25 +34,14 @@ let identity_probes = 4
 
 (* The cold-pass workload must be distinct requests with non-trivial
    compute for the cached-replay gate to mean anything, so the paper's
-   own model gets the heavy perf-serve-style instances; the rivals use
+   own model gets the perf-serve workload's scenarios; the rivals use
    their registry generators (their runs are cheap by construction, which
    is exactly what the ungated speedup column documents). *)
 let instances_for (e : Registry.entry) =
   if e.Registry.name = Unknown_attributes.name then
     Array.init requests_per_model (fun i ->
-        let n = requests_per_model in
-        let bearing = 0.2 +. (2.4 *. float_of_int i /. float_of_int n) in
-        let tau = 0.980 +. (0.002 *. float_of_int (i mod 6)) in
         Unknown_attributes.instance
-          {
-            Unknown_attributes.attrs = Attributes.make ~tau ();
-            d = 8.0;
-            bearing;
-            r = 0.01;
-            horizon = 1e13;
-            algorithm4 = false;
-            transform = Symmetry.identity;
-          })
+          (Util.scenario ~n:requests_per_model ~d:8.0 ~r:0.01 i))
   else
     let rng = Rng.create ~seed:(Int64.of_int (0xbe11 + String.length e.Registry.name)) in
     Array.init requests_per_model (fun _ ->
@@ -65,12 +53,7 @@ let line_of_instance ~id (inst : Model.instance) =
        (Proto.Model_run { model = inst.Model.model; instance = inst }))
 
 let run_pass server lines =
-  let lg = Loadgen.create ~lines ~requests:(Array.length lines) () in
-  Loadgen.drive lg ~send:(fun line ->
-      Server.handle_line server line ~respond:(Loadgen.note_response lg));
-  if not (Loadgen.wait lg) then
-    failwith "perf-models: responses missing after 120 s";
-  Loadgen.summary lg
+  Util.drive ~name:"perf-models" (Server.handle_line server) lines
 
 (* Cold and warm passes for one model against its own fresh server. *)
 let serve_probe (e : Registry.entry) instances =
@@ -150,21 +133,6 @@ let identity_probe (e : Registry.entry) instances =
   Server.stop server;
   !mismatches
 
-let json_path () =
-  Option.value (Sys.getenv_opt "RVU_BENCH8_JSON") ~default:"BENCH_8.json"
-
-let pass_json (s : Loadgen.summary) =
-  Wire.Obj
-    [
-      ("wall_s", Wire.Float s.Loadgen.wall_s);
-      ("throughput_rps", Wire.Float s.Loadgen.throughput_rps);
-      ("p50_ms", Wire.Float s.Loadgen.p50_ms);
-      ("p95_ms", Wire.Float s.Loadgen.p95_ms);
-      ("p99_ms", Wire.Float s.Loadgen.p99_ms);
-      ("mean_ms", Wire.Float s.Loadgen.mean_ms);
-      ("max_ms", Wire.Float s.Loadgen.max_ms);
-    ]
-
 let run () =
   let jobs = !Util.jobs in
   Util.banner "PERF-MODELS"
@@ -198,8 +166,8 @@ let run () =
         ( e.Registry.name,
           Wire.Obj
             [
-              ("cold", pass_json cold);
-              ("warm", pass_json warm);
+              ("cold", Loadgen.summary_json cold);
+              ("warm", Loadgen.summary_json warm);
               ("warm_speedup", Wire.Float warm_speedup);
             ] )
         :: !model_sections)
@@ -232,8 +200,4 @@ let run () =
         ("agreement_ok", Wire.Bool (!total_disagreements = 0));
       ]
   in
-  let path = json_path () in
-  let oc = open_out path in
-  output_string oc (Wire.print_hum json);
-  close_out oc;
-  Util.note "(json written to %s)" path
+  Util.write_artifact 8 json

@@ -14,13 +14,11 @@
    quantity of interest is the cost floor, and every source of noise only
    ever adds time). The "on − off" gap is the overhead the registry imposes
    on an untraced run; the acceptance bar is that it stays within noise
-   (≤ 5% here, ≤ 2% expected). Emits BENCH_3.json (override with
-   RVU_BENCH3_JSON). Also reconciles the rvu_engine_runs_total counter
-   delta against the number of engine runs actually dispatched, so the
-   numbers the metrics endpoint serves are pinned to ground truth. *)
+   (≤ 5% here, ≤ 2% expected). Emits BENCH_3.json. Also reconciles the
+   rvu_engine_runs_total counter delta against the number of engine runs
+   actually dispatched, so the numbers the metrics endpoint serves are
+   pinned to ground truth. *)
 
-open Rvu_geom
-open Rvu_core
 open Rvu_report
 
 let repeats = 5
@@ -29,18 +27,10 @@ let repeats = 5
    3 modes x 3 repeats plus warmup stay in seconds. The instrumentation
    cost is per engine run, so many small runs — not a few deep ones — is
    the adversarial shape for this measurement. *)
-let instances =
-  let n = 24 in
-  Array.init n (fun i ->
-      let bearing = 0.2 +. (2.4 *. float_of_int i /. float_of_int n) in
-      let tau = 0.980 +. (0.002 *. float_of_int (i mod 6)) in
-      Rvu_sim.Engine.instance
-        ~attributes:(Attributes.make ~tau ())
-        ~displacement:(Vec2.of_polar ~radius:6.0 ~angle:bearing)
-        ~r:0.01)
+let instances = Util.instances ~n:24 ~d:6.0 ~r:0.01
 
 let run_batch jobs =
-  ignore (Rvu_exec.Batch.run ~horizon:1e13 ~jobs instances : _ array)
+  ignore (Rvu_exec.Batch.run ~horizon:Util.horizon ~jobs instances : _ array)
 
 let min_wall jobs =
   let best = ref Float.infinity in
@@ -50,14 +40,10 @@ let min_wall jobs =
   done;
   !best
 
-let json_path () =
-  Option.value (Sys.getenv_opt "RVU_BENCH3_JSON") ~default:"BENCH_3.json"
-
 let trace_path = "perf_obs.trace.json"
 
 let write_json ~jobs ~wall_off ~wall_on ~wall_traced ~overhead_on
     ~overhead_traced ~runs_delta =
-  let path = json_path () in
   let json =
     Rvu_service.Wire.Obj
       [
@@ -73,10 +59,7 @@ let write_json ~jobs ~wall_off ~wall_on ~wall_traced ~overhead_on
         ("engine_runs_delta", Rvu_service.Wire.Int runs_delta);
       ]
   in
-  let oc = open_out path in
-  output_string oc (Rvu_service.Wire.print_hum json);
-  close_out oc;
-  Util.note "(json written to %s)" path
+  Util.write_artifact 3 json
 
 let engine_runs () =
   Rvu_obs.Metrics.(counter_value (counter "rvu_engine_runs_total"))

@@ -12,76 +12,37 @@
      overload  a 1-worker, depth-2 server flooded with un-cacheable
                requests must shed with `overloaded`, not hang (asserted)
 
-   Emits BENCH_2.json (override the path with RVU_BENCH2_JSON). *)
+   Emits BENCH_2.json. *)
 
 open Rvu_core
 module Wire = Rvu_service.Wire
 module Loadgen = Rvu_service.Loadgen
 module Server = Rvu_service.Server
 
-(* The cold/warm workload: 24 distinct moderate simulate instances (all
+(* The cold/warm workload: 24 distinct scenarios of the family (all
    reach round ~5-6 of the schedule), built as request lines with ids
    1..n. Distinct on purpose — the cold pass must not hit its own cache. *)
 let workload =
   let n = 24 in
   Array.init n (fun i ->
-      let bearing = 0.2 +. (2.4 *. float_of_int i /. float_of_int n) in
-      let tau = 0.980 +. (0.002 *. float_of_int (i mod 6)) in
-      let request =
-        Rvu_service.Proto.Simulate
-          {
-            attrs = Attributes.make ~tau ();
-            d = 8.0;
-            bearing;
-            r = 0.01;
-            horizon = 1e13;
-            algorithm4 = false;
-            transform = Rvu_core.Symmetry.identity;
-          }
-      in
-      Wire.print
-        (Rvu_service.Proto.wire_of_request ~id:(Wire.Int (i + 1)) request))
+      Util.line ~id:(i + 1) (Util.scenario ~n ~d:8.0 ~r:0.01 i))
 
 let run_pass server lines =
-  let lg = Loadgen.create ~lines ~requests:(Array.length lines) () in
-  Loadgen.drive lg ~send:(fun line ->
-      Server.handle_line server line ~respond:(Loadgen.note_response lg));
-  if not (Loadgen.wait lg) then
-    failwith "perf-serve: responses missing after 120 s";
-  Loadgen.summary lg
+  Util.drive ~name:"perf-serve" (Server.handle_line server) lines
 
 (* Un-cacheable flood for the overload probe: every request distinct. *)
 let flood_lines n =
   Array.init n (fun i ->
-      let request =
-        Rvu_service.Proto.Simulate
-          {
-            attrs = Attributes.make ~tau:0.99 ();
-            d = 6.0 +. (0.01 *. float_of_int i);
-            bearing = 0.7;
-            r = 0.01;
-            horizon = 1e13;
-            algorithm4 = false;
-            transform = Rvu_core.Symmetry.identity;
-          }
-      in
-      Wire.print
-        (Rvu_service.Proto.wire_of_request ~id:(Wire.Int (i + 1)) request))
-
-let json_path () =
-  Option.value (Sys.getenv_opt "RVU_BENCH2_JSON") ~default:"BENCH_2.json"
-
-let pass_json (s : Loadgen.summary) =
-  Wire.Obj
-    [
-      ("wall_s", Wire.Float s.Loadgen.wall_s);
-      ("throughput_rps", Wire.Float s.Loadgen.throughput_rps);
-      ("p50_ms", Wire.Float s.Loadgen.p50_ms);
-      ("p95_ms", Wire.Float s.Loadgen.p95_ms);
-      ("p99_ms", Wire.Float s.Loadgen.p99_ms);
-      ("mean_ms", Wire.Float s.Loadgen.mean_ms);
-      ("max_ms", Wire.Float s.Loadgen.max_ms);
-    ]
+      Util.line ~id:(i + 1)
+        {
+          attrs = Attributes.make ~tau:0.99 ();
+          d = 6.0 +. (0.01 *. float_of_int i);
+          bearing = 0.7;
+          r = 0.01;
+          horizon = 1e13;
+          algorithm4 = false;
+          transform = Rvu_core.Symmetry.identity;
+        })
 
 let run () =
   let jobs = !Util.jobs in
@@ -128,26 +89,8 @@ let run () =
   if overload.Loadgen.completed <> overload.Loadgen.requests then
     failwith "perf-serve: overloaded server dropped responses";
 
-  let t =
-    Rvu_report.Table.create
-      ~columns:
-        (List.map Rvu_report.Table.column
-           [ "pass"; "wall (s)"; "req/s"; "p50 ms"; "p95 ms"; "p99 ms" ])
-  in
-  let row name (s : Loadgen.summary) =
-    Rvu_report.Table.add_row t
-      [
-        name;
-        Rvu_report.Table.fstr s.Loadgen.wall_s;
-        Rvu_report.Table.fstr s.Loadgen.throughput_rps;
-        Rvu_report.Table.fstr s.Loadgen.p50_ms;
-        Rvu_report.Table.fstr s.Loadgen.p95_ms;
-        Rvu_report.Table.fstr s.Loadgen.p99_ms;
-      ]
-  in
-  row "cold" cold;
-  row "warm" warm;
-  Util.table ~id:"perf-serve" t;
+  Util.summary_table ~id:"perf-serve" ~key:"pass"
+    [ ("cold", cold); ("warm", warm) ];
   Util.note
     "warm speedup %.1fx; overload probe shed %d of %d (0 dropped, 0 hung)."
     warm_speedup overload.Loadgen.overloaded overload.Loadgen.requests;
@@ -158,8 +101,8 @@ let run () =
         ("experiment", Wire.String "perf-serve");
         ("requests", Wire.Int (Array.length workload));
         ("jobs", Wire.Int jobs);
-        ("cold", pass_json cold);
-        ("warm", pass_json warm);
+        ("cold", Loadgen.summary_json cold);
+        ("warm", Loadgen.summary_json warm);
         ("warm_speedup", Wire.Float warm_speedup);
         ("server_stats", stats);
         ( "overload",
@@ -172,8 +115,4 @@ let run () =
             ] );
       ]
   in
-  let path = json_path () in
-  let oc = open_out path in
-  output_string oc (Wire.print_hum json);
-  close_out oc;
-  Util.note "(json written to %s)" path
+  Util.write_artifact 2 json

@@ -25,11 +25,9 @@
    forward-phase histogram must appear in the merged file — the
    histogram-to-timeline round trip a latency investigation follows.
 
-   Emits BENCH_10.json (override the path with RVU_BENCH10_JSON). *)
+   Emits BENCH_10.json. *)
 
-open Rvu_core
 module Wire = Rvu_service.Wire
-module Proto = Rvu_service.Proto
 module Server = Rvu_service.Server
 module Loadgen = Rvu_service.Loadgen
 module Router = Rvu_cluster.Router
@@ -50,24 +48,10 @@ let router_trace_path = "perf_trace.router.trace"
 let worker_trace_path i = Printf.sprintf "perf_trace.worker%d.trace" i
 let merged_path = "perf_trace.merged.json"
 
-(* The same scenario family as perf-cluster, so the serve walls here are
+(* The same scenario mix as perf-cluster, so the serve walls here are
    comparable to BENCH_7's workers. *)
-let request i =
-  let i = i mod scenarios in
-  let bearing = 0.2 +. (2.4 *. float_of_int i /. float_of_int scenarios) in
-  let tau = 0.980 +. (0.002 *. float_of_int (i mod 6)) in
-  Proto.Simulate
-    {
-      attrs = Attributes.make ~tau ();
-      d = 8.0;
-      bearing;
-      r = 0.01;
-      horizon = 1e13;
-      algorithm4 = false;
-      transform = Rvu_core.Symmetry.identity;
-    }
-
-let line ~id i = Wire.print (Proto.wire_of_request ~id:(Wire.Int id) (request i))
+let line ~id i =
+  Util.line ~id (Util.scenario ~n:scenarios ~d:8.0 ~r:0.01 (i mod scenarios))
 
 let read_file path = In_channel.with_open_bin path In_channel.input_all
 
@@ -152,37 +136,14 @@ let bench_overhead () =
 (* ------------------------------------------------------------------ *)
 (* Phase 2: router + traced workers, stitched *)
 
-let rvu_bin () =
-  match Sys.getenv_opt "RVU_BIN" with
-  | Some p -> p
-  | None ->
-      let p =
-        Filename.concat
-          (Filename.dirname (Filename.dirname Sys.executable_name))
-          "bin/rvu.exe"
-      in
-      if Sys.file_exists p then p
-      else
-        failwith
-          (Printf.sprintf
-             "perf-trace: worker binary not found at %s (set RVU_BIN)" p)
-
-let worker_endpoint ~bin i =
-  let port = base_port + i in
-  {
-    Router.host = "127.0.0.1";
-    port;
-    spawn =
-      Some
-        [|
-          bin; "serve"; "--tcp"; string_of_int port; "--jobs"; "1";
-          "--cache-entries"; "256"; "--trace"; worker_trace_path i;
-        |];
-  }
-
 let bench_cluster ~bin =
   Trace.enable ~path:router_trace_path ();
-  let endpoints = List.init shards (worker_endpoint ~bin) in
+  let endpoints =
+    List.init shards (fun i ->
+        Util.worker ~bin
+          ~args:[ "--trace"; worker_trace_path i ]
+          (base_port + i))
+  in
   let config = { Router.default_config with connect_timeout_ms = 20_000. } in
   let router = Router.create ~config ~endpoints () in
   let stopped = ref false in
@@ -201,13 +162,10 @@ let bench_cluster ~bin =
       if not (contains ~needle:"\"ok\"" r) then
         failwith (Printf.sprintf "perf-trace: cold request %d not ok" i))
     (Array.init scenarios (fun i -> Router.handle_sync router (line ~id:(i + 1) i)));
-  let lines = Array.init cluster_requests (fun k -> line ~id:(k + 1) k) in
-  let lg = Loadgen.create ~lines ~requests:cluster_requests () in
-  Loadgen.drive lg ~send:(fun l ->
-      Router.handle_line router l ~respond:(Loadgen.note_response lg));
-  if not (Loadgen.wait lg) then
-    failwith "perf-trace: responses missing after 120 s";
-  let s = Loadgen.summary lg in
+  let s =
+    Util.drive ~name:"perf-trace" (Router.handle_line router)
+      (Array.init cluster_requests (fun k -> line ~id:(k + 1) k))
+  in
   if s.Loadgen.ok <> s.Loadgen.requests then
     failwith
       (Printf.sprintf "perf-trace: %d of %d routed requests not ok"
@@ -250,9 +208,6 @@ let bench_cluster ~bin =
 
 (* ------------------------------------------------------------------ *)
 
-let json_path () =
-  Option.value (Sys.getenv_opt "RVU_BENCH10_JSON") ~default:"BENCH_10.json"
-
 let run () =
   if Trace.enabled () then
     failwith
@@ -269,7 +224,7 @@ let run () =
   let overhead = pct 50.0 and q1 = pct 25.0 and q3 = pct 75.0 in
   let cost_us = Rvu_numerics.Stats.percentile 50.0 costs_us in
   let per_req_us wall = 1e6 *. wall /. float_of_int warm_requests in
-  let bin = rvu_bin () in
+  let bin = Util.rvu_bin ~name:"perf-trace" in
   let sum, forward_exemplars, warm = bench_cluster ~bin in
 
   let t =
@@ -345,11 +300,7 @@ let run () =
             ] );
       ]
   in
-  let path = json_path () in
-  let oc = open_out path in
-  output_string oc (Wire.print_hum json);
-  close_out oc;
-  Util.note "(json written to %s)" path;
+  Util.write_artifact 10 json;
   (* Gated after the JSON is written, so a failing run leaves its pairs'
      quartiles behind. The expectation is low single digits; the median
      of interleaved pairs keeps one slow pass from deciding the gate. A

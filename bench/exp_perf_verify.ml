@@ -9,9 +9,8 @@
    fault against the metrics registry — a perf run that produces wrong
    answers fast is a regression, not a win.
 
-   Emits BENCH_4.json (override with RVU_BENCH4_JSON). The case counts
-   are deterministic in the seed, so the workload is identical across
-   machines; only the wall times vary. *)
+   Emits BENCH_4.json. The case counts are deterministic in the seed, so
+   the workload is identical across machines; only the wall times vary. *)
 
 open Rvu_report
 
@@ -19,12 +18,8 @@ let seed = 42
 let symmetry_cases = 120
 let fault_cases = 60
 
-let json_path () =
-  Option.value (Sys.getenv_opt "RVU_BENCH4_JSON") ~default:"BENCH_4.json"
-
 let write_json ~wall_symmetry ~wall_faults ~cases_per_s ~hits ~borderline
     ~injected =
-  let path = json_path () in
   let json =
     Rvu_service.Wire.Obj
       [
@@ -41,10 +36,7 @@ let write_json ~wall_symmetry ~wall_faults ~cases_per_s ~hits ~borderline
         ("violations", Rvu_service.Wire.Int 0);
       ]
   in
-  let oc = open_out path in
-  output_string oc (Rvu_service.Wire.print_hum json);
-  close_out oc;
-  Util.note "(json written to %s)" path
+  Util.write_artifact 4 json
 
 let member_int json key =
   match Rvu_service.Wire.member key json with

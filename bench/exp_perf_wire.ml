@@ -15,35 +15,19 @@
                  does. The wall clocks of the two loops are reported as
                  the end-to-end warm-serve delta.
 
-   Emits BENCH_9.json (override the path with RVU_BENCH9_JSON). *)
+   Emits BENCH_9.json. *)
 
-open Rvu_core
 module Wire = Rvu_service.Wire
 module Wb = Rvu_service.Wire_bin
-module Proto = Rvu_service.Proto
 module Server = Rvu_service.Server
 
-(* The workload: distinct moderate simulate instances, all cacheable
+(* The workload: distinct scenarios of the family, all cacheable
    (echoable int ids, no per-request timeout) so the warm passes hit the
    result/frame caches on every request. *)
 let request_lines =
   let n = 16 in
   Array.init n (fun i ->
-      let bearing = 0.2 +. (2.4 *. float_of_int i /. float_of_int n) in
-      let tau = 0.980 +. (0.002 *. float_of_int (i mod 6)) in
-      let request =
-        Proto.Simulate
-          {
-            attrs = Attributes.make ~tau ();
-            d = 8.0;
-            bearing;
-            r = 0.01;
-            horizon = 1e13;
-            algorithm4 = false;
-            transform = Rvu_core.Symmetry.identity;
-          }
-      in
-      Wire.print (Proto.wire_of_request ~id:(Wire.Int (i + 1)) request))
+      Util.line ~id:(i + 1) (Util.scenario ~n ~d:8.0 ~r:0.01 i))
 
 let parse_exn s =
   match Wire.parse s with
@@ -138,9 +122,6 @@ let warm_pass ~handle ~handle_sync inputs rounds =
          "perf-wire: %d of %d warm requests did not answer synchronously"
          (n - !hits) n);
   (words /. float_of_int n, wall)
-
-let json_path () =
-  Option.value (Sys.getenv_opt "RVU_BENCH9_JSON") ~default:"BENCH_9.json"
 
 let run () =
   Util.banner "PERF-WIRE" "Binary wire codec vs JSON: ns/op and warm allocation";
@@ -275,8 +256,4 @@ let run () =
             ] );
       ]
   in
-  let path = json_path () in
-  let oc = open_out path in
-  output_string oc (Wire.print_hum json);
-  close_out oc;
-  Util.note "(json written to %s)" path
+  Util.write_artifact 9 json

@@ -47,6 +47,11 @@
                       re-parenting, GC lanes, exemplar round-trip);
                       writes BENCH_10.json
 
+   The perf-* experiments share one harness (Util): one scenario family,
+   one loadgen pass driver and one artifact writer. Each writes its
+   BENCH_<n>.json to the working directory; perf-cluster and perf-trace
+   spawn ../bin/rvu.exe next to this executable (RVU_BIN overrides).
+
    --trace FILE records Chrome trace-event spans for the whole run. *)
 
 let all : (string * (unit -> unit)) list =
@@ -83,8 +88,8 @@ let () =
   let args =
     match Array.to_list Sys.argv with _ :: rest -> rest | [] -> []
   in
-  (* --csv DIR also mirrors every table to DIR/<id>.csv
-     (or set RVU_CSV_DIR); --jobs N sets the batch-layer domain count. *)
+  (* --csv DIR also mirrors every table to DIR/<id>.csv; --jobs N sets the
+     batch-layer domain count. *)
   let rec extract acc = function
     | "--csv" :: dir :: rest ->
         Util.csv_dir := Some dir;

@@ -1591,43 +1591,49 @@ let bench_diff old_file new_file threshold =
   in
   let olds = flatten_numeric "" (load old_file) [] in
   let news = flatten_numeric "" (load new_file) [] in
-  let shared =
+  (* Every gated series of the baseline, with its fresh value if the new
+     artifact still has it: a series that disappears fails the diff, or a
+     refactor that drops one would pass unnoticed. *)
+  let gated =
     List.filter_map
       (fun (path, old_v) ->
-        if gated_series path then
-          match List.assoc_opt path news with
-          | Some new_v -> Some (path, old_v, new_v)
-          | None -> None
+        if gated_series path then Some (path, old_v, List.assoc_opt path news)
         else None)
       olds
     |> List.sort compare
   in
-  if shared = [] then begin
+  if not (List.exists (fun (_, _, new_v) -> new_v <> None) gated) then begin
     Format.eprintf
       "rvu: no shared gated series between %s and %s — nothing to compare@."
       old_file new_file;
     exit 1
   end;
-  let regressions = ref 0 in
+  let regressions = ref 0 and missing = ref 0 in
   List.iter
     (fun (path, old_v, new_v) ->
-      let delta_pct =
-        if old_v > 0.0 then (new_v -. old_v) /. old_v *. 100.0
-        else if new_v > 0.0 then Float.infinity
-        else 0.0
-      in
-      let regressed = delta_pct > threshold in
-      if regressed then incr regressions;
-      Printf.printf "%-40s %12.6g %12.6g %+8.1f%%%s\n" path old_v new_v
-        delta_pct
-        (if regressed then "  REGRESSION" else ""))
-    shared;
+      match new_v with
+      | None ->
+          incr missing;
+          Printf.printf "%-40s %12.6g %12s %9s  MISSING\n" path old_v "-" "-"
+      | Some new_v ->
+          let delta_pct =
+            if old_v > 0.0 then (new_v -. old_v) /. old_v *. 100.0
+            else if new_v > 0.0 then Float.infinity
+            else 0.0
+          in
+          let regressed = delta_pct > threshold in
+          if regressed then incr regressions;
+          Printf.printf "%-40s %12.6g %12.6g %+8.1f%%%s\n" path old_v new_v
+            delta_pct
+            (if regressed then "  REGRESSION" else ""))
+    gated;
   flush stdout;
-  if !regressions > 0 then begin
+  if !missing > 0 then
+    Format.eprintf "rvu: %d gated series missing from %s@." !missing new_file;
+  if !regressions > 0 then
     Format.eprintf "rvu: %d gated series regressed by more than %g%%@."
       !regressions threshold;
-    exit 1
-  end
+  if !missing > 0 || !regressions > 0 then exit 1
 
 (* ------------------------------------------------------------------ *)
 (* trace-merge *)
@@ -1695,9 +1701,10 @@ let bench_diff_cmd =
     (Cmd.info "bench-diff"
        ~doc:
          "Compare two bench JSON artifacts (e.g. bench/baselines/BENCH_4.json \
-          against a fresh run) on their shared gated series — wall-time \
+          against a fresh run) on the baseline's gated series — wall-time \
           numbers plus the router's self-metric counters — and exit non-zero \
-          on a regression beyond the threshold.")
+          on a regression beyond the threshold or when a gated series is \
+          missing from the fresh artifact.")
     Term.(
       const bench_diff
       $ file 0 "Baseline bench artifact."

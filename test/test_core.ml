@@ -430,15 +430,24 @@ let test_round_bound_values () =
   (* 20 + ceil(log2 20) = 20 + 5 = 25 >= 8 *)
   check_int "tau=0.25 (a=1), n=1" 16 (Bounds.round_bound ~tau:0.25 ~n:1);
   (* t = 0.75 > 2/3 branch: k* = max(ceil((a+1) t/(1-t)), n + ceil(log(n/(1-t)))) *)
-  check_int "tau=0.75, n=1" 3 (Bounds.round_bound ~tau:0.75 ~n:1)
+  check_int "tau=0.75, n=1" 3 (Bounds.round_bound ~tau:0.75 ~n:1);
+  (* Just below 2^-3: a = 3, t ~ 0.99996, so k* = ceil((a+1)t/(1-t)) is
+     finite but past 100,000 — k* grows without bound as tau nears a
+     power of 1/2 from below. *)
+  check_int "tau just below 2^-3, n=6" 104359
+    (Bounds.round_bound ~tau:0.124995208985 ~n:6)
 
+(* Finite means an honest int of at least n: a wrapped [int_of_float] of
+   an infinite or NaN ceiling fails it. No fixed cap holds (see the
+   2^-3 case above). The shrinker keeps n in range, since
+   [round_bound] rejects n < 1. *)
 let prop_round_bound_finite =
   QCheck.Test.make ~name:"theorem 3: round bound is finite for all tau < 1"
     ~count:300
-    QCheck.(pair (float_range 0.01 0.99) (int_range 1 12))
-    (fun (tau, n) ->
-      let k = Bounds.round_bound ~tau ~n in
-      k >= n && k < 100000)
+    QCheck.(
+      pair (float_range 0.01 0.99)
+        (add_shrink_invariant (fun n -> n >= 1) (int_range 1 12)))
+    (fun (tau, n) -> Bounds.round_bound ~tau ~n >= n)
 
 let prop_exact_rounds_below_simplified =
   (* Lemmas 11/12's exact rounds never exceed Lemma 13's simplified k*. *)
