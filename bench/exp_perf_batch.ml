@@ -5,7 +5,9 @@
    batch results must be bit-identical between the two runs — the pool
    preserves order and the cache replays the exact floats a fresh
    realization would produce — and the ratio of monotonic wall times is
-   the speedup. Emits BENCH_1.json so the perf trajectory is
+   the speedup. An untimed pass warms the shared cache first, so neither
+   timed pass pays first-touch realization and the ratio is a parallel
+   speedup only. Emits BENCH_1.json so the perf trajectory is
    machine-readable. *)
 
 open Rvu_report
@@ -57,6 +59,7 @@ let run () =
        (if jobs < jobs_requested then
           Printf.sprintf " (requested %d, capped to hardware)" jobs_requested
         else ""));
+  ignore (Rvu_exec.Batch.run ~horizon:Util.horizon ~jobs:1 instances);
   let seq_results, wall1 =
     Util.wall_clock (fun () ->
         Rvu_exec.Batch.run ~horizon:Util.horizon ~jobs:1 instances)

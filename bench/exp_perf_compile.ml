@@ -3,16 +3,20 @@
    Same 24-instance family as perf-batch, run through Batch.run three
    ways: interpreted kernel at --jobs 1, compiled kernel at --jobs 1
    (the headline throughput ratio), compiled kernel at --jobs N (the
-   parallel sanity probe). All three result arrays must be bit-identical
-   — the compiled kernel's whole contract is that it changes the clock,
-   never the floats. Also samples Gc minor words per run for both
-   kernels (the compiled path's reason to exist is allocation
-   elimination) and replays a small checkpointed sweep atlas to verify
-   interrupted-run resume is byte-identical. Emits BENCH_6.json.
+   parallel sanity probe). The two --jobs 1 kernels are timed in
+   [pairs] pairs that alternate which goes first, so a drift in the
+   host's speed lands on both alike, and the speedup is the median of
+   the per-pair ratios, which one slow pass cannot decide. Every pass's
+   results must be bit-identical to an untimed warm-up pass — the
+   compiled kernel's whole contract is that it changes the clock, never
+   the floats. Also samples Gc minor words per run for both kernels
+   (the compiled path's reason to exist is allocation elimination) and
+   replays a small checkpointed sweep atlas to verify interrupted-run
+   resume is byte-identical. Emits BENCH_6.json.
 
-   Gate: the run fails if the kernels' results diverge, if the resume
-   atlas differs from the full-run atlas, or if the compiled/interpreted
-   speedup falls below 2.0x. *)
+   Gate: the run fails if any pass's results diverge, if the resume
+   atlas differs from the full-run atlas, or if the median
+   compiled/interpreted speedup falls below 2.0x. *)
 
 open Rvu_geom
 open Rvu_core
@@ -20,6 +24,7 @@ open Rvu_report
 
 let instances = Util.instances ~n:24 ~d:10.0 ~r:0.005
 let horizon = Util.horizon
+let pairs = 5
 
 (* Minor-heap words allocated by one engine run (single-instance, so the
    measurement is not smeared over pool workers on other domains), through
@@ -114,33 +119,41 @@ let run () =
   Util.banner "PERF-COMPILE"
     (Printf.sprintf "Detector kernels: interpreted vs compiled (--jobs %d)"
        jobs);
-  (* Warm the shared reference cache (realize + compile once) so neither
-     timed run pays first-touch realization for the other. *)
+  (* Warm the shared reference cache (realize + compile once) so no timed
+     pass pays first-touch realization for the others. *)
   let warm = Rvu_exec.Batch.run ~horizon ~jobs:1 instances in
-  let interp, wall_i =
-    Util.wall_clock (fun () ->
-        Rvu_exec.Batch.run ~horizon ~kernel:Rvu_sim.Engine.Interpreted ~jobs:1
-          instances)
-  in
-  let comp, wall_c =
-    Util.wall_clock (fun () ->
-        Rvu_exec.Batch.run ~horizon ~kernel:Rvu_sim.Engine.Compiled ~jobs:1
-          instances)
-  in
-  if not (Util.identical interp comp && Util.identical warm comp) then
-    failwith "perf-compile: compiled results diverge from interpreted";
-  let par, wall_p =
-    if jobs <= 1 then (comp, wall_c)
-    else
+  let timed ~jobs kernel =
+    let res, wall =
       Util.wall_clock (fun () ->
-          Rvu_exec.Batch.run ~horizon ~kernel:Rvu_sim.Engine.Compiled ~jobs
-            instances)
+          Rvu_exec.Batch.run ~horizon ~kernel ~jobs instances)
+    in
+    if not (Util.identical warm res) then
+      Printf.ksprintf failwith
+        "perf-compile: %s results at --jobs %d diverge from the warm-up pass"
+        (match kernel with
+        | Rvu_sim.Engine.Interpreted -> "interpreted"
+        | Rvu_sim.Engine.Compiled -> "compiled")
+        jobs;
+    wall
   in
-  if not (Util.identical comp par) then
-    failwith "perf-compile: parallel results diverge from sequential";
-  let intervals = Util.total_intervals comp in
+  let walls_i = Array.make pairs 0.0 and walls_c = Array.make pairs 0.0 in
+  for i = 0 to pairs - 1 do
+    let interp () = walls_i.(i) <- timed ~jobs:1 Rvu_sim.Engine.Interpreted
+    and comp () = walls_c.(i) <- timed ~jobs:1 Rvu_sim.Engine.Compiled in
+    if i mod 2 = 0 then (interp (); comp ()) else (comp (); interp ())
+  done;
+  let median xs = Rvu_numerics.Stats.percentile 50.0 (Array.to_list xs) in
+  let wall_i = median walls_i and wall_c = median walls_c in
+  let wall_p =
+    if jobs <= 1 then wall_c else timed ~jobs Rvu_sim.Engine.Compiled
+  in
+  let intervals = Util.total_intervals warm in
   let mi wall = float_of_int intervals /. Float.max 1e-9 wall /. 1e6 in
-  let speedup = wall_i /. Float.max 1e-9 wall_c in
+  let ratios =
+    List.init pairs (fun i -> walls_i.(i) /. Float.max 1e-9 walls_c.(i))
+  in
+  let pct p = Rvu_numerics.Stats.percentile p ratios in
+  let speedup = pct 50.0 and speedup_q1 = pct 25.0 and speedup_q3 = pct 75.0 in
   let par_speedup = wall_c /. Float.max 1e-9 wall_p in
   let minor_i = minor_words_per_run ~kernel:Rvu_sim.Engine.Interpreted instances.(0) in
   let minor_c = minor_words_per_run ~kernel:Rvu_sim.Engine.Compiled instances.(0) in
@@ -167,11 +180,15 @@ let run () =
       Table.fstr (mi wall_p); "-";
     ];
   Util.table ~id:"perf-compile" t;
+  Util.note "per-pair compiled/interpreted speedup: %s"
+    (String.concat " " (List.map (Printf.sprintf "%.2fx") ratios));
   Util.note
-    "%d instances, %d intervals; compiled/interpreted speedup %.2fx; \
+    "%d instances, %d intervals; median wall of %d pairs per kernel; \
+     compiled/interpreted speedup %.2fx (quartiles %.2fx to %.2fx); \
      minor words/run %.3g -> %.3g (%.1fx less); resume atlas %s \
      (%d shard(s) recomputed)."
-    (Array.length instances) intervals speedup minor_i minor_c
+    (Array.length instances) intervals pairs speedup speedup_q1 speedup_q3
+    minor_i minor_c
     (minor_i /. Float.max 1.0 minor_c)
     (if resume_ok then "byte-identical" else "DIVERGED")
     resumed_shards;
@@ -189,7 +206,12 @@ let run () =
         ("wall_s_compiled_jobsN", Rvu_service.Wire.Float wall_p);
         ("mintervals_per_s_interpreted", Rvu_service.Wire.Float (mi wall_i));
         ("mintervals_per_s_compiled", Rvu_service.Wire.Float (mi wall_c));
+        ("pairs", Rvu_service.Wire.Int pairs);
         ("speedup_compiled_vs_interpreted", Rvu_service.Wire.Float speedup);
+        ( "speedup_compiled_vs_interpreted_q1",
+          Rvu_service.Wire.Float speedup_q1 );
+        ( "speedup_compiled_vs_interpreted_q3",
+          Rvu_service.Wire.Float speedup_q3 );
         ("parallel_speedup", Rvu_service.Wire.Float par_speedup);
         ("parallel_wins", Rvu_service.Wire.Bool (par_speedup >= 1.0));
         ("minor_words_per_run_interpreted", Rvu_service.Wire.Float minor_i);
@@ -204,5 +226,6 @@ let run () =
   let floor = 2.0 in
   if speedup < floor then
     Printf.ksprintf failwith
-      "perf-compile: compiled kernel speedup %.2fx below the %.2fx gate"
+      "perf-compile: median compiled kernel speedup %.2fx below the %.2fx \
+       gate"
       speedup floor

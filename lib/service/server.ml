@@ -152,6 +152,7 @@ let process_json () =
       ("engine_runs", cv "rvu_engine_runs_total");
       ("engine_intervals", cv "rvu_engine_intervals_total");
       ("engine_derived_segments", cv "rvu_engine_derived_segments_total");
+      ("engine_pruned_intervals", cv "rvu_engine_pruned_intervals_total");
       ("sched_admitted", cv "rvu_sched_admitted_total");
       ("sched_shed", cv "rvu_sched_shed_total");
       ("sched_timeouts", cv "rvu_sched_timeout_total");

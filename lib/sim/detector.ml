@@ -154,14 +154,16 @@ let table_of_source = function
    their horizon. *)
 let block = 512
 
-(* The cap of a chunked source's doubling schedule. A [Compiled.deriver]
-   produces segments with a flat array pass, ~50x cheaper per segment
-   than a stream compile, so deep runs amortise the per-pull overhead
-   over big chunks — but Algorithm 7's rounds grow geometrically (round
-   n spans 51, 257, 1051, 4161, 16499 segments for n = 1..5) and most
-   instances meet in rounds 1-3, so the first pull asks for [block] and
-   each later one doubles: 512, 1024, ..., 16384, 16384, .... A run that
-   meets at segment k derives fewer than 2k + 512 segments. *)
+(* A chunked source's doubling schedule. A [Compiled.deriver] produces
+   segments with a flat array pass, ~50x cheaper per segment than a
+   stream compile, so deep runs amortise the per-pull overhead over big
+   chunks — but Algorithm 7's rounds grow geometrically (round n spans
+   51, 257, 1051, 4161, 16499 segments for n = 1..5) and most instances
+   meet in rounds 1-3, so the first pull asks for [first_chunk], about
+   round 1's span, and each later one doubles: 64, 128, ..., 16384,
+   16384, .... A run that meets at segment k derives fewer than
+   2k + 64 segments. *)
+let first_chunk = 64
 let chunk_block = 16384
 
 (* One robot's scan position: an index into the current compiled block,
@@ -186,11 +188,11 @@ let pull_of_seq s =
     tbl
 
 let side_of_source src =
-  let tbl, pull, max_block =
+  let tbl, pull, block, max_block =
     match src with
-    | Src_seq s -> (Compiled.empty, pull_of_seq s, block)
-    | Src_table (tbl, tail) -> (tbl, pull_of_seq tail, block)
-    | Src_chunks f -> (Compiled.empty, f, chunk_block)
+    | Src_seq s -> (Compiled.empty, pull_of_seq s, block, block)
+    | Src_table (tbl, tail) -> (tbl, pull_of_seq tail, block, block)
+    | Src_chunks f -> (Compiled.empty, f, first_chunk, chunk_block)
   in
   { tbl; idx = 0; pull; block; max_block; ended = false }
 
@@ -227,6 +229,14 @@ let ensure side (scratch : float array) =
     else continue := false
   done
 
+(* Intervals the broad phase settled, bumped once per run (never per
+   interval) and kept out of [stats], which must equal the interpreted
+   walker's. *)
+let m_pruned =
+  Rvu_obs.Metrics.counter
+    ~help:"Segment-pair intervals the compiled kernel settled unevaluated"
+    "rvu_engine_pruned_intervals_total"
+
 let first_meeting_sources ?(closed_forms = true) ?(resolution = 1e-9)
     ?(horizon = Float.infinity) ~r src1 src2 =
   if r <= 0.0 then invalid_arg "Detector.first_meeting_sources: r <= 0";
@@ -240,7 +250,7 @@ let first_meeting_sources ?(closed_forms = true) ?(resolution = 1e-9)
   let scratch = Array.make 6 0.0 in
   scratch.(4) <- Float.infinity;
   scratch.(5) <- Float.neg_infinity;
-  let intervals = ref 0 in
+  let intervals = ref 0 and pruned = ref 0 in
   ensure s1 scratch;
   ensure s2 scratch;
   scratch.(5) <- 0.0;
@@ -340,34 +350,99 @@ let first_meeting_sources ?(closed_forms = true) ?(resolution = 1e-9)
             end
           end
           else begin
-            Compiled.eval_into a ai lo scratch 0;
-            Compiled.eval_into b bi lo scratch 2;
-            let d0 =
-              Float.hypot
-                (scratch.(0) -. scratch.(2))
-                (scratch.(1) -. scratch.(3))
+            (* Broad phase. Every position a segment can take lies on an
+               annulus about a fixed centre: an arc on its circle, a line
+               in the disc on its chord, a wait at its point. So on the
+               whole interval the robots stay at least [lb] apart, the
+               gap between the two annuli. Past max(r, running minimum)
+               plus a margin far above the rounding of [lb] and of any
+               sampled distance, no sample can hit or lower the minimum:
+               the interval is settled without evaluating a position. *)
+            let ka = Array.unsafe_get a.Compiled.kind ai
+            and kb = Array.unsafe_get b.Compiled.kind bi in
+            let ax = Array.unsafe_get a.Compiled.g0 ai
+            and ay = Array.unsafe_get a.Compiled.g1 ai
+            and bx = Array.unsafe_get b.Compiled.g0 bi
+            and by = Array.unsafe_get b.Compiled.g1 bi in
+            let cax =
+              if ka = Compiled.kind_line then
+                0.5 *. (ax +. Array.unsafe_get a.Compiled.g2 ai)
+              else ax
+            and cay =
+              if ka = Compiled.kind_line then
+                0.5 *. (ay +. Array.unsafe_get a.Compiled.g3 ai)
+              else ay
+            and cbx =
+              if kb = Compiled.kind_line then
+                0.5 *. (bx +. Array.unsafe_get b.Compiled.g2 bi)
+              else bx
+            and cby =
+              if kb = Compiled.kind_line then
+                0.5 *. (by +. Array.unsafe_get b.Compiled.g3 bi)
+              else by
             in
-            if d0 < scratch.(4) then scratch.(4) <- d0;
-            let lipschitz =
-              Array.unsafe_get a.Compiled.speed ai
-              +. Array.unsafe_get b.Compiled.speed bi
+            let oa =
+              if ka = Compiled.kind_arc then Array.unsafe_get a.Compiled.g2 ai
+              else if ka = Compiled.kind_line then
+                0.5 *. Array.unsafe_get a.Compiled.local_dur ai
+              else 0.0
+            and ob =
+              if kb = Compiled.kind_arc then Array.unsafe_get b.Compiled.g2 bi
+              else if kb = Compiled.kind_line then
+                0.5 *. Array.unsafe_get b.Compiled.local_dur bi
+              else 0.0
             in
-            if d0 -. (lipschitz *. (hi -. lo)) > r then Float.nan
+            let ia = if ka = Compiled.kind_arc then oa else 0.0
+            and ib = if kb = Compiled.kind_arc then ob else 0.0 in
+            let dc = Float.hypot (cax -. cbx) (cay -. cby) in
+            let lb = dc -. oa -. ob in
+            let lb = if ia -. ob -. dc > lb then ia -. ob -. dc else lb in
+            let lb = if ib -. oa -. dc > lb then ib -. oa -. dc else lb in
+            (* Relative to every coordinate and radius a position is
+               computed from; their sum also bounds [dc]. *)
+            let margin =
+              1e-9
+              *. (Float.abs cax +. Float.abs cay +. Float.abs cbx
+                 +. Float.abs cby +. oa +. ob +. r)
+            in
+            let m = Array.unsafe_get scratch 4 in
+            if lb > (if m > r then m else r) +. margin then begin
+              incr pruned;
+              Float.nan
+            end
             else begin
-              let f t =
-                Compiled.eval_into a ai t scratch 0;
-                Compiled.eval_into b bi t scratch 2;
+              Compiled.eval_into a ai lo scratch 0;
+              Compiled.eval_into b bi lo scratch 2;
+              let d0 =
                 Float.hypot
                   (scratch.(0) -. scratch.(2))
                   (scratch.(1) -. scratch.(3))
-                -. r
               in
-              match
-                Rvu_numerics.Lipschitz.first_below ~lipschitz ~resolution ~f
-                  ~lo ~hi ()
-              with
-              | Rvu_numerics.Lipschitz.First_below t -> t
-              | Rvu_numerics.Lipschitz.Stays_above -> Float.nan
+              if d0 < scratch.(4) then scratch.(4) <- d0;
+              let lipschitz =
+                Array.unsafe_get a.Compiled.speed ai
+                +. Array.unsafe_get b.Compiled.speed bi
+              in
+              (* Past r plus the margin no sample can hit, so the solve
+                 would answer [Stays_above]. *)
+              if d0 -. (lipschitz *. (hi -. lo)) > r || lb > r +. margin then
+                Float.nan
+              else begin
+                let f t =
+                  Compiled.eval_into a ai t scratch 0;
+                  Compiled.eval_into b bi t scratch 2;
+                  Float.hypot
+                    (scratch.(0) -. scratch.(2))
+                    (scratch.(1) -. scratch.(3))
+                  -. r
+                in
+                match
+                  Rvu_numerics.Lipschitz.first_below ~lipschitz ~resolution ~f
+                    ~lo ~hi ()
+                with
+                | Rvu_numerics.Lipschitz.First_below t -> t
+                | Rvu_numerics.Lipschitz.Stays_above -> Float.nan
+              end
             end
           end
         in
@@ -396,6 +471,7 @@ let first_meeting_sources ?(closed_forms = true) ?(resolution = 1e-9)
       end
     end
   done;
+  Rvu_obs.Metrics.incr ~by:!pruned m_pruned;
   (!outcome, { intervals = !intervals; min_distance = scratch.(4) })
 
 let fold_intervals ?(horizon = Float.infinity) s1 s2 ~init ~f =

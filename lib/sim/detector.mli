@@ -72,11 +72,12 @@ val source_of_table :
 val source_of_chunks : (int -> Rvu_trajectory.Compiled.t) -> source
 (** [source_of_chunks pull]: scan successive table chunks produced by
     [pull max_segments] — an empty table ends the stream. The scan asks
-    for doubling sizes: 512 on the first pull, then 1024, 2048, ... up
-    to 16384, and 16384 on every pull after that, so a run that meets
-    early derives little while a deep run pays the per-pull overhead
-    only once per 16384 segments. (Stream and table sources compile
-    their continuation in fixed 512-segment blocks.) Built for
+    for doubling sizes: 64 on the first pull (about round 1's 51
+    segments), then 128, 256, ... up to 16384, and 16384 on every pull
+    after that, so a run that meets early derives little while a deep
+    run pays the per-pull overhead only once per 16384 segments. (Stream
+    and table sources compile their continuation in fixed 512-segment
+    blocks.) Built for
     {!Rvu_trajectory.Compiled.next_chunk}, whose chunks are only valid
     until the next pull: the scan honours that by discarding each chunk
     before pulling the next. *)
@@ -103,7 +104,20 @@ val first_meeting_sources :
   source ->
   source ->
   outcome * stats
-(** Exactly {!first_meeting}, over compiled tables. Requires [r > 0]. *)
+(** Exactly {!first_meeting}, over compiled tables: the same outcome,
+    [intervals] and [min_distance], bit for bit. Requires [r > 0].
+
+    Where either side is an arc (every interval with [closed_forms]
+    off), a broad phase first bounds the robots' distance over the
+    whole interval from below by the gap between two annuli: an arc's
+    circle, a line's disc on its chord, a wait's point. Past
+    max([r], running minimum) plus a relative margin (1e-9 of the
+    coordinates, radii and [r] involved, far above any rounding) the
+    interval is settled without evaluating a position; past [r] plus the
+    margin the Lipschitz solve is skipped. Neither can change a result:
+    every interval is still counted, and a settled one could neither
+    hit nor lower [min_distance]. The intervals settled unevaluated are
+    counted once per run in [rvu_engine_pruned_intervals_total]. *)
 
 val fold_intervals :
   ?horizon:float ->

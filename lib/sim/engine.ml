@@ -79,8 +79,8 @@ let run_with_source ?closed_forms ?resolution ?horizon ?(kernel = Compiled)
                    re-realising the whole stream — this is where the
                    compiled path stops paying the lazy-realisation cost
                    the interpreted path is stuck with. The detector asks
-                   for doubling chunk sizes (512 up to 16384), so a run
-                   that meets at segment k derives fewer than 2k + 512
+                   for doubling chunk sizes (64 up to 16384), so a run
+                   that meets at segment k derives fewer than 2k + 64
                    segments. *)
                 let d =
                   Rvu_trajectory.Compiled.deriver

@@ -132,10 +132,10 @@ type deriver
     accumulator across calls, so the concatenated chunks are bit-for-bit
     the single-pass table — but derivation cost tracks the chunk sizes
     the consumer asks for. Meeting depths across a batch are wildly
-    skewed; the detector asks for doubling sizes (512, 1024, ...,
-    16384) and stops pulling at the meeting, so a run that meets at
-    segment [k] derives fewer than [2k + 512] segments rather than the
-    whole reference prefix. *)
+    skewed; the detector asks for doubling sizes (64, 128, ..., 16384)
+    and stops pulling at the meeting, so a run that meets at segment [k]
+    derives fewer than [2k + 64] segments rather than the whole
+    reference prefix. *)
 
 val deriver :
   ?arena:arena -> Realize.clocked -> t -> tail:Timed.t Seq.t -> deriver

@@ -652,8 +652,8 @@ let test_server_metrics_endpoint () =
      - registry_counter after "rvu_engine_runs_total"
     >= 1);
   (* The derive layer's work: round 1 spans the first 51 segments, so a
-     round-1 simulate derives its first 512-segment chunk (the bound
-     leaves room for one more doubling), never a 16384-row chunk. *)
+     round-1 simulate derives its first 64-segment chunk (the bound
+     leaves room for a few doublings), never a 16384-row chunk. *)
   let shallow =
     Result.get_ok
       (Wire.parse
@@ -674,6 +674,27 @@ let test_server_metrics_endpoint () =
     (derived shallow_after)
     (int_of_float
        (float_member [ "process"; "engine_derived_segments" ]
+          (Server.stats_json server)));
+  (* The broad phase settles a round-5 run's far-apart intervals without
+     evaluating a position, and counts them once per run. *)
+  let deep =
+    Result.get_ok
+      (Wire.parse
+         (Server.handle_sync server
+            {|{"kind":"simulate","tau":0.998,"d":20.0,"r":0.01,"bearing":0.7,"id":11}|}))
+  in
+  check_int "the deep simulate meets in round 5" 5
+    (int_of_float (float_member [ "ok"; "phase"; "round" ] deep));
+  let deep_after = metrics () in
+  let pruned body = registry_counter body "rvu_engine_pruned_intervals_total" in
+  let deep_pruned = pruned deep_after - pruned shallow_after in
+  check_bool
+    (Printf.sprintf "a round-5 simulate prunes intervals (got %d)" deep_pruned)
+    true (deep_pruned > 0);
+  check_int "stats process section agrees on pruned intervals"
+    (pruned deep_after)
+    (int_of_float
+       (float_member [ "process"; "engine_pruned_intervals" ]
           (Server.stats_json server)));
   (* Prometheus format: same registry, text exposition in a JSON string. *)
   let prom =

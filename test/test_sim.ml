@@ -492,6 +492,111 @@ let prop_compiled_engine_bit_identical =
             (Engine.run ~horizon ~kernel:Engine.Compiled inst))
         instances)
 
+(* Grazing geometry for the compiled kernel's broad phase, which bounds
+   the robots' distance over an interval from below by the gap between
+   two annuli: an arc's circle, a line's disc on its chord, a wait's
+   point. Each robot waits (the primer, setting the running minimum
+   above or below the bound) and then takes one grazing segment; the
+   pair is placed so the bound lands at r + delta, with delta a few ulps
+   of r, about the 1e-9 relative margin on either side, or well clear
+   on either side, and either outside each other or one inside an arc.
+   Every tight segment ends the interval at the point that realises the
+   bound, so a wrong bound shows as a hit or a minimum the compiled
+   kernel skipped and the interpreted walker did not. *)
+let grazing_gen st =
+  let u lo hi = lo +. Random.State.float st (hi -. lo) in
+  let pick l = List.nth l (Random.State.int st (List.length l)) in
+  let r = u 0.01 2.0 in
+  let ka = Random.State.int st 3 and kb = Random.State.int st 3 in
+  let radius k = if k = 0 then 0.0 else u 0.05 3.0 in
+  let ob = radius kb in
+  let inside = ka = 2 && Random.State.int st 3 = 0 in
+  (* Inside an arc, the centres stay at least 0.3 apart (|delta| <= r/2
+     below): a wait near a circle's centre keeps an almost constant
+     distance, which no solver settles quickly. *)
+  let oa = if inside then ob +. (1.5 *. r) +. u 0.3 2.0 else radius ka in
+  let ca = Vec2.make (u (-4.0) 4.0) (u (-4.0) 4.0) in
+  let axis = Vec2.of_polar ~radius:1.0 ~angle:(u 0.0 (2.0 *. Float.pi)) in
+  (* About the kernel's margin scale: coordinates, radii and r. *)
+  let scale =
+    Float.abs ca.Vec2.x +. Float.abs ca.Vec2.y +. (2.0 *. (oa +. ob +. r))
+  in
+  let ulp = Float.succ r -. r in
+  let delta =
+    (if Random.State.bool st then 1.0 else -1.0)
+    *.
+    match Random.State.int st 3 with
+    | 0 -> float_of_int (1 + Random.State.int st 4) *. ulp
+    | 1 -> pick [ 0.5; 0.9; 1.1; 2.0 ] *. 1e-9 *. scale
+    | _ -> u 0.01 0.5 *. r
+  in
+  let dc =
+    if inside then oa -. ob -. r -. delta else oa +. ob +. r +. delta
+  in
+  let cb = Vec2.add ca (Vec2.scale dc axis) in
+  (* The direction, from each centre, of the point realising the bound. *)
+  let wa = axis and wb = if inside then axis else Vec2.scale (-1.0) axis in
+  let dur = u 0.5 5.0 in
+  let segment k c rad w =
+    let w =
+      if Random.State.int st 4 = 0 then
+        Vec2.of_polar ~radius:1.0 ~angle:(u 0.0 (2.0 *. Float.pi))
+      else w
+    in
+    let shape =
+      match k with
+      | 0 -> Segment.wait ~at:c ~dur
+      | 1 ->
+          Segment.line
+            ~src:(Vec2.sub c (Vec2.scale rad w))
+            ~dst:(Vec2.add c (Vec2.scale rad w))
+      | _ ->
+          let sweep =
+            pick [ 2.0 *. Float.pi; -2.0 *. Float.pi; Float.pi; -0.3 ]
+          in
+          Segment.arc ~center:c ~radius:rad
+            ~from:(Float.atan2 w.Vec2.y w.Vec2.x -. sweep)
+            ~sweep
+    in
+    timed_scaled ~t0:1.0 ~dur shape
+  in
+  let d_primer = r *. u 1.001 3.0 in
+  let primer at = timed_scaled ~t0:0.0 ~dur:1.0 (Segment.wait ~at ~dur:1.0) in
+  let a = [ primer ca; segment ka ca oa wa ]
+  and b =
+    [
+      primer (Vec2.add ca (Vec2.of_polar ~radius:d_primer ~angle:(u 0.0 6.0)));
+      segment kb cb ob wb;
+    ]
+  in
+  let a, b = if Random.State.bool st then (a, b) else (b, a) in
+  (r, a, b)
+
+let grazing_arb =
+  let print (r, a, b) =
+    let segs l = String.concat "; " (List.map (Fmt.str "%a" Timed.pp) l) in
+    Printf.sprintf "r = %h\na: %s\nb: %s" r (segs a) (segs b)
+  in
+  QCheck.make ~print grazing_gen
+
+(* The broad phase does not depend on the solver's resolution; a coarser
+   one keeps the tangential grazes, which both kernels bisect down to it,
+   cheap. *)
+let prop_broad_phase_grazing =
+  let resolution = 1e-6 in
+  QCheck.Test.make
+    ~name:"detector: broad phase bit-identical on grazing geometry" ~count:2000
+    grazing_arb (fun (r, a, b) ->
+      List.for_all
+        (fun closed_forms ->
+          detector_pair_equal
+            (Detector.first_meeting ~closed_forms ~resolution ~r
+               (List.to_seq a) (List.to_seq b))
+            (Detector.first_meeting_sources ~closed_forms ~resolution ~r
+               (Detector.source_of_seq (List.to_seq a))
+               (Detector.source_of_seq (List.to_seq b))))
+        [ true; false ])
+
 let test_compiled_table_source () =
   (* A precompiled reference prefix + lazy tail must give the same result
      as compiling everything from the stream — the sharing path Batch uses
@@ -598,19 +703,19 @@ let test_chunk_schedule () =
     | None, _ -> ());
     Alcotest.(check (list int))
       (name ^ ": requested sizes")
-      (List.init pulls (fun k -> min 16384 (512 lsl k)))
+      (List.init pulls (fun k -> min 16384 (64 lsl k)))
       (List.rev !requested)
   in
   let universal = Rvu_core.Universal.program
   and algorithm4 = Rvu_search.Algorithm4.program in
   run "universal deep" universal ~tau:0.998 ~d:20.0 ~r:0.01 ~round:(Some 5)
-    ~pulls:5;
+    ~pulls:8;
   run "algorithm4 shallow" algorithm4 ~tau:0.5 ~d:1.5 ~r:0.2 ~round:None
     ~pulls:1;
   run "universal shallow" universal ~tau:0.5 ~d:1.5 ~r:0.2 ~round:(Some 1)
     ~pulls:1;
   run "algorithm4 deep" algorithm4 ~tau:0.99 ~d:8.0 ~r:0.05 ~round:None
-    ~pulls:7
+    ~pulls:10
 
 (* ------------------------------------------------------------------ *)
 (* Multi (gathering) *)
@@ -785,6 +890,9 @@ let () =
         [
           qc prop_compiled_detector_bit_identical;
           qc prop_compiled_engine_bit_identical;
+          QCheck_alcotest.to_alcotest
+            ~rand:(Random.State.make [| 0x23; 0x6ea5e |])
+            prop_broad_phase_grazing;
           Alcotest.test_case "table-prefix source" `Quick
             test_compiled_table_source;
           Alcotest.test_case "empty streams" `Quick test_compiled_empty_streams;
