@@ -1,51 +1,21 @@
 (* PERF-BATCH — throughput and multicore speedup of the batch layer.
 
-   One workload, run twice: --jobs 1 (sequential baseline) and --jobs N
-   (the harness's domain pool with the shared reference-stream cache). The
-   batch results must be bit-identical between the two runs — the pool
-   preserves order and the cache replays the exact floats a fresh
-   realization would produce — and the ratio of monotonic wall times is
-   the speedup. An untimed pass warms the shared cache first, so neither
-   timed pass pays first-touch realization and the ratio is a parallel
-   speedup only. Emits BENCH_1.json so the perf trajectory is
+   One workload, one 24-instance batch per unit of work, timed through
+   the A/B driver at --jobs 1 (sequential baseline) and --jobs N (the
+   harness's domain pool with the shared reference-stream cache). Every
+   timed unit's results must be bit-identical — the pool preserves order
+   and the cache replays the exact floats a fresh realization would
+   produce — and the speedup is the inverse of the median per-round
+   --jobs N / --jobs 1 wall ratio. The warm-up passes fill the shared
+   cache, so no timed unit pays first-touch realization and the ratio is
+   a parallel speedup only. Emits BENCH_1.json so the perf trajectory is
    machine-readable. *)
-
-open Rvu_report
 
 (* A moderately deep slice of the family (round ~6-8 of the schedule):
    enough work per instance to dwarf pool overhead, small enough that the
    whole batch stays in seconds. Bearings and clocks vary so the tasks
    are heterogeneous, exercising the chunked distribution. *)
 let instances = Util.instances ~n:24 ~d:10.0 ~r:0.005
-
-let write_json ~jobs_requested ~jobs ~intervals ~wall1 ~walln ~speedup
-    ~parallel_wins ~warning =
-  let mi wall = float_of_int intervals /. Float.max 1e-9 wall /. 1e6 in
-  let json =
-    Rvu_service.Wire.Obj
-      ([
-         ("experiment", Rvu_service.Wire.String "perf-batch");
-         ("instances", Rvu_service.Wire.Int (Array.length instances));
-         ("intervals", Rvu_service.Wire.Int intervals);
-         ("jobs_requested", Rvu_service.Wire.Int jobs_requested);
-         ("jobs", Rvu_service.Wire.Int jobs);
-         ( "recommended_domains",
-           Rvu_service.Wire.Int (Domain.recommended_domain_count ()) );
-         ( "recommended_jobs",
-           Rvu_service.Wire.Int (if parallel_wins then jobs else 1) );
-         ("parallel_wins", Rvu_service.Wire.Bool parallel_wins);
-         ("wall_s_jobs1", Rvu_service.Wire.Float wall1);
-         ("wall_s_jobsN", Rvu_service.Wire.Float walln);
-         ("mintervals_per_s_jobs1", Rvu_service.Wire.Float (mi wall1));
-         ("mintervals_per_s_jobsN", Rvu_service.Wire.Float (mi walln));
-         ("speedup", Rvu_service.Wire.Float speedup);
-       ]
-      @
-      match warning with
-      | None -> []
-      | Some w -> [ ("warning", Rvu_service.Wire.String w) ])
-  in
-  Util.write_artifact 1 json
 
 let run () =
   let jobs_requested = !Util.jobs in
@@ -59,21 +29,18 @@ let run () =
        (if jobs < jobs_requested then
           Printf.sprintf " (requested %d, capped to hardware)" jobs_requested
         else ""));
-  ignore (Rvu_exec.Batch.run ~horizon:Util.horizon ~jobs:1 instances);
-  let seq_results, wall1 =
-    Util.wall_clock (fun () ->
-        Rvu_exec.Batch.run ~horizon:Util.horizon ~jobs:1 instances)
+  let batch jobs =
+    Util.config (Printf.sprintf "--jobs %d" jobs) (fun () ->
+        Rvu_exec.Batch.run ~horizon:Util.horizon ~jobs instances)
   in
-  let par_results, walln =
-    if jobs <= 1 then (seq_results, wall1)
-    else
-      Util.wall_clock (fun () ->
-          Rvu_exec.Batch.run ~horizon:Util.horizon ~jobs instances)
+  let timings =
+    Util.ab ~id:"perf-batch"
+      (batch 1 :: (if jobs > 1 then [ batch jobs ] else []))
   in
-  if not (Util.identical seq_results par_results) then
-    failwith "perf-batch: parallel results diverge from sequential";
-  let intervals = Util.total_intervals seq_results in
-  let speedup = wall1 /. Float.max 1e-9 walln in
+  Util.check_identical ~name:"perf-batch" timings;
+  let seq = timings.(0) and par = timings.(Array.length timings - 1) in
+  let intervals = Util.total_intervals seq.results.(0).(0) in
+  let speedup = 1.0 /. par.ratio in
   let parallel_wins = jobs > 1 && speedup > 1.0 in
   let warning =
     if jobs < jobs_requested then
@@ -91,24 +58,31 @@ let run () =
     else None
   in
   Option.iter (fun w -> Util.note "WARNING: %s" w) warning;
-  let t =
-    Table.create
-      ~columns:
-        (List.map Table.column
-           [ "jobs"; "wall (s)"; "Mintervals/s"; "speedup" ])
-  in
   let mi wall = float_of_int intervals /. Float.max 1e-9 wall /. 1e6 in
-  Table.add_row t
-    [ Table.istr 1; Table.fstr wall1; Table.fstr (mi wall1); Table.fstr 1.0 ];
-  Table.add_row t
-    [
-      Table.istr jobs; Table.fstr walln; Table.fstr (mi walln);
-      Table.fstr speedup;
-    ];
-  Util.table ~id:"perf-batch" t;
   Util.note
-    "%d instances, %d segment-pair intervals; parallel results bit-identical \
-     to sequential."
-    (Array.length instances) intervals;
-  write_json ~jobs_requested ~jobs ~intervals ~wall1 ~walln ~speedup
-    ~parallel_wins ~warning
+    "%d instances, %d segment-pair intervals; %.3g vs %.3g Mintervals/s; \
+     speedup %.3fx; every timed unit bit-identical."
+    (Array.length instances) intervals (mi seq.wall) (mi par.wall) speedup;
+  let module W = Rvu_service.Wire in
+  Util.write_artifact 1
+    (W.Obj
+       ([
+          ("experiment", W.String "perf-batch");
+          ("instances", W.Int (Array.length instances));
+          ("intervals", W.Int intervals);
+          ("jobs_requested", W.Int jobs_requested);
+          ("jobs", W.Int jobs);
+          ("recommended_domains", W.Int (Domain.recommended_domain_count ()));
+          ("recommended_jobs", W.Int (if parallel_wins then jobs else 1));
+          ("parallel_wins", W.Bool parallel_wins);
+          ("rounds", W.Int Util.rounds);
+          ("wall_s_jobs1", W.Float seq.wall);
+          ("wall_s_jobsN", W.Float par.wall);
+          ("mintervals_per_s_jobs1", W.Float (mi seq.wall));
+          ("mintervals_per_s_jobsN", W.Float (mi par.wall));
+          ("speedup", W.Float speedup);
+          ("speedup_q1", W.Float (1.0 /. par.ratio_q3));
+          ("speedup_q3", W.Float (1.0 /. par.ratio_q1));
+        ]
+       @
+       match warning with None -> [] | Some w -> [ ("warning", W.String w) ]))

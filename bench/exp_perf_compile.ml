@@ -1,30 +1,27 @@
 (* PERF-COMPILE — interpreted vs compiled detector kernel.
 
-   Same 24-instance family as perf-batch, run through Batch.run three
-   ways: interpreted kernel at --jobs 1, compiled kernel at --jobs 1
-   (the headline throughput ratio), compiled kernel at --jobs N (the
-   parallel sanity probe). The two --jobs 1 kernels are timed in
-   [pairs] pairs that alternate which goes first, so a drift in the
-   host's speed lands on both alike, and the speedup is the median of
-   the per-pair ratios, which one slow pass cannot decide. Every pass's
-   results must be bit-identical to an untimed warm-up pass — the
-   compiled kernel's whole contract is that it changes the clock, never
-   the floats. Also samples Gc minor words per run for both kernels
+   Same 24-instance family as perf-batch, one batch per unit of work,
+   run through Batch.run three ways by the A/B driver: compiled kernel at
+   --jobs 1 (the reference), interpreted kernel at --jobs 1 (the
+   headline throughput ratio), compiled kernel at --jobs N (the parallel
+   sanity probe). The speedup is the median per-round interpreted /
+   compiled wall ratio, which one slow unit cannot decide. Every timed
+   unit's results must be bit-identical to the first compiled unit's —
+   the compiled kernel's whole contract is that it changes the clock,
+   never the floats. Also samples Gc minor words per run for both kernels
    (the compiled path's reason to exist is allocation elimination) and
    replays a small checkpointed sweep atlas to verify interrupted-run
    resume is byte-identical. Emits BENCH_6.json.
 
-   Gate: the run fails if any pass's results diverge, if the resume
+   Gate: the run fails if any unit's results diverge, if the resume
    atlas differs from the full-run atlas, or if the median
    compiled/interpreted speedup falls below 2.0x. *)
 
 open Rvu_geom
 open Rvu_core
-open Rvu_report
 
 let instances = Util.instances ~n:24 ~d:10.0 ~r:0.005
 let horizon = Util.horizon
-let pairs = 5
 
 (* Minor-heap words allocated by one engine run (single-instance, so the
    measurement is not smeared over pool workers on other domains), through
@@ -119,76 +116,42 @@ let run () =
   Util.banner "PERF-COMPILE"
     (Printf.sprintf "Detector kernels: interpreted vs compiled (--jobs %d)"
        jobs);
-  (* Warm the shared reference cache (realize + compile once) so no timed
-     pass pays first-touch realization for the others. *)
-  let warm = Rvu_exec.Batch.run ~horizon ~jobs:1 instances in
-  let timed ~jobs kernel =
-    let res, wall =
-      Util.wall_clock (fun () ->
-          Rvu_exec.Batch.run ~horizon ~kernel ~jobs instances)
-    in
-    if not (Util.identical warm res) then
-      Printf.ksprintf failwith
-        "perf-compile: %s results at --jobs %d diverge from the warm-up pass"
-        (match kernel with
-        | Rvu_sim.Engine.Interpreted -> "interpreted"
-        | Rvu_sim.Engine.Compiled -> "compiled")
-        jobs;
-    wall
+  let batch name ~jobs kernel =
+    Util.config name (fun () ->
+        Rvu_exec.Batch.run ~horizon ~kernel ~jobs instances)
   in
-  let walls_i = Array.make pairs 0.0 and walls_c = Array.make pairs 0.0 in
-  for i = 0 to pairs - 1 do
-    let interp () = walls_i.(i) <- timed ~jobs:1 Rvu_sim.Engine.Interpreted
-    and comp () = walls_c.(i) <- timed ~jobs:1 Rvu_sim.Engine.Compiled in
-    if i mod 2 = 0 then (interp (); comp ()) else (comp (); interp ())
-  done;
-  let median xs = Rvu_numerics.Stats.percentile 50.0 (Array.to_list xs) in
-  let wall_i = median walls_i and wall_c = median walls_c in
-  let wall_p =
-    if jobs <= 1 then wall_c else timed ~jobs Rvu_sim.Engine.Compiled
+  let timings =
+    Util.ab ~id:"perf-compile"
+      ([
+         batch "compiled" ~jobs:1 Rvu_sim.Engine.Compiled;
+         batch "interpreted" ~jobs:1 Rvu_sim.Engine.Interpreted;
+       ]
+      @
+      if jobs > 1 then
+        [
+          batch (Printf.sprintf "compiled --jobs %d" jobs) ~jobs
+            Rvu_sim.Engine.Compiled;
+        ]
+      else [])
   in
-  let intervals = Util.total_intervals warm in
+  Util.check_identical ~name:"perf-compile" timings;
+  let comp = timings.(0) and interp = timings.(1) in
+  let par = if jobs > 1 then timings.(2) else comp in
+  let wall_c = comp.wall and wall_i = interp.wall and wall_p = par.wall in
+  let speedup = interp.ratio in
+  let par_speedup = 1.0 /. par.ratio in
+  let intervals = Util.total_intervals comp.results.(0).(0) in
   let mi wall = float_of_int intervals /. Float.max 1e-9 wall /. 1e6 in
-  let ratios =
-    List.init pairs (fun i -> walls_i.(i) /. Float.max 1e-9 walls_c.(i))
-  in
-  let pct p = Rvu_numerics.Stats.percentile p ratios in
-  let speedup = pct 50.0 and speedup_q1 = pct 25.0 and speedup_q3 = pct 75.0 in
-  let par_speedup = wall_c /. Float.max 1e-9 wall_p in
   let minor_i = minor_words_per_run ~kernel:Rvu_sim.Engine.Interpreted instances.(0) in
   let minor_c = minor_words_per_run ~kernel:Rvu_sim.Engine.Compiled instances.(0) in
   let resume_ok, resumed_shards = resume_roundtrip () in
-  let t =
-    Table.create
-      ~columns:
-        (List.map Table.column
-           [ "kernel"; "jobs"; "wall (s)"; "Mintervals/s"; "minor words/run" ])
-  in
-  Table.add_row t
-    [
-      "interpreted"; Table.istr 1; Table.fstr wall_i;
-      Table.fstr (mi wall_i); Table.fstr minor_i;
-    ];
-  Table.add_row t
-    [
-      "compiled"; Table.istr 1; Table.fstr wall_c;
-      Table.fstr (mi wall_c); Table.fstr minor_c;
-    ];
-  Table.add_row t
-    [
-      "compiled"; Table.istr jobs; Table.fstr wall_p;
-      Table.fstr (mi wall_p); "-";
-    ];
-  Util.table ~id:"perf-compile" t;
-  Util.note "per-pair compiled/interpreted speedup: %s"
-    (String.concat " " (List.map (Printf.sprintf "%.2fx") ratios));
   Util.note
-    "%d instances, %d intervals; median wall of %d pairs per kernel; \
+    "%d instances, %d intervals; %.3g vs %.3g Mintervals/s; \
      compiled/interpreted speedup %.2fx (quartiles %.2fx to %.2fx); \
      minor words/run %.3g -> %.3g (%.1fx less); resume atlas %s \
      (%d shard(s) recomputed)."
-    (Array.length instances) intervals pairs speedup speedup_q1 speedup_q3
-    minor_i minor_c
+    (Array.length instances) intervals (mi wall_i) (mi wall_c) speedup
+    interp.ratio_q1 interp.ratio_q3 minor_i minor_c
     (minor_i /. Float.max 1.0 minor_c)
     (if resume_ok then "byte-identical" else "DIVERGED")
     resumed_shards;
@@ -206,12 +169,12 @@ let run () =
         ("wall_s_compiled_jobsN", Rvu_service.Wire.Float wall_p);
         ("mintervals_per_s_interpreted", Rvu_service.Wire.Float (mi wall_i));
         ("mintervals_per_s_compiled", Rvu_service.Wire.Float (mi wall_c));
-        ("pairs", Rvu_service.Wire.Int pairs);
+        ("rounds", Rvu_service.Wire.Int Util.rounds);
         ("speedup_compiled_vs_interpreted", Rvu_service.Wire.Float speedup);
         ( "speedup_compiled_vs_interpreted_q1",
-          Rvu_service.Wire.Float speedup_q1 );
+          Rvu_service.Wire.Float interp.ratio_q1 );
         ( "speedup_compiled_vs_interpreted_q3",
-          Rvu_service.Wire.Float speedup_q3 );
+          Rvu_service.Wire.Float interp.ratio_q3 );
         ("parallel_speedup", Rvu_service.Wire.Float par_speedup);
         ("parallel_wins", Rvu_service.Wire.Bool (par_speedup >= 1.0));
         ("minor_words_per_run_interpreted", Rvu_service.Wire.Float minor_i);

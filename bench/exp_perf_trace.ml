@@ -2,15 +2,14 @@
 
    Two phases.
 
-   Overhead: the same warm serve workload runs against an in-process
-   server with tracing off and on (a span context minted per request,
-   serve/encode records into the ring), in [pairs] back-to-back pairs of
-   passes that alternate which mode goes first, so a drift in the host's
-   speed lands on both modes alike. Each pass is long enough (about half
-   a second or more) that one scheduler hiccup is a small share of it.
-   The median of the per-pair overheads must stay within 5%: tracing is
-   designed to be cheap enough to leave on. The per-request cost
-   (traced minus untraced wall, per request) is reported beside the
+   Overhead: the same warm serve workload, 32 000 requests per unit of
+   work with every request line built before the clock starts, runs
+   against an in-process server with tracing off and on (a span context
+   minted per request, serve/encode records into the ring) through the
+   A/B driver, so the timed work is the server's alone. The median
+   per-round overhead must stay within 5%: tracing is designed to be
+   cheap enough to leave on. The per-request cost (the median per-round
+   traced minus untraced wall, per request) is reported beside the
    percentage: a faster untraced path raises the percentage of the same
    absolute cost.
 
@@ -36,7 +35,6 @@ module Trace = Rvu_obs.Trace
 module Phase = Rvu_obs.Phase
 module Trace_merge = Rvu_obs.Trace_merge
 
-let pairs = 10
 let scenarios = 32
 let warm_requests = 32_000
 let cluster_requests = 600
@@ -72,38 +70,31 @@ let bench_overhead () =
       ()
   in
   Fun.protect ~finally:(fun () -> Server.stop server) @@ fun () ->
-  let pass () =
-    for k = 1 to warm_requests do
-      ignore (Server.handle_sync server (line ~id:k k) : string)
-    done
+  let lines = Array.init warm_requests (fun k -> line ~id:(k + 1) (k + 1)) in
+  let requests () =
+    Array.iter (fun l -> ignore (Server.handle_sync server l : string)) lines
   in
-  (* Warm every scenario's cache entry outside the timed windows. *)
-  pass ();
-  let off = Array.make pairs 0.0 and traced = Array.make pairs 0.0 in
-  (* Each traced pass opens the trace file afresh (truncating the last
-     one) and writes it on close, both outside the timed window; the ring
-     holds a whole pass, so no event of the last pass is dropped. *)
+  (* Each traced unit opens the trace file afresh (truncating the last
+     one) and writes it on close, both off the clock; the ring holds a
+     whole unit, so no event of the last unit is dropped. *)
   let last_traced_since = ref 0.0 in
-  (* Every timed pass starts from a collected heap, so the garbage one
-     pass leaves is not billed to the next. *)
-  let timed () =
-    Gc.full_major ();
-    snd (Util.wall_clock pass)
+  let timings =
+    Util.ab ~id:"perf-trace"
+      [
+        (* The first warm-up unit fills every scenario's cache entry. *)
+        Util.config "off" requests;
+        Util.config "traced"
+          ~setup:(fun () ->
+            Trace.enable ~capacity:(2 * warm_requests) ~path:serve_trace_path
+              ();
+            last_traced_since := Unix.gettimeofday ())
+          ~finish:(fun () -> Trace.close ())
+          requests;
+      ]
   in
-  let traced_pass i =
-    Trace.enable ~capacity:(2 * warm_requests) ~path:serve_trace_path ();
-    last_traced_since := Unix.gettimeofday ();
-    traced.(i) <- timed ();
-    Trace.close ()
-  in
-  let off_pass i = off.(i) <- timed () in
-  for i = 0 to pairs - 1 do
-    if i mod 2 = 0 then (off_pass i; traced_pass i)
-    else (traced_pass i; off_pass i)
-  done;
-  (* Exemplars land only during traced passes (no ambient span context
+  (* Exemplars land only during traced units (no ambient span context
      exists with tracing off), latest per bucket, so those stamped since
-     the last traced pass began belong to spans in the file it left. *)
+     the last traced unit began belong to spans in the file it left. *)
   let serve_ids =
     Metrics.histogram
       ~labels:[ ("kind", "simulate") ]
@@ -113,7 +104,7 @@ let bench_overhead () =
            if ts >= !last_traced_since then Some t else None)
   in
   if serve_ids = [] then
-    failwith "perf-trace: the last traced serve pass attached no exemplars";
+    failwith "perf-trace: the last traced serve unit attached no exemplars";
   let trace = read_file serve_trace_path in
   List.iter
     (fun t ->
@@ -123,15 +114,7 @@ let bench_overhead () =
              "perf-trace: exemplar trace id %s missing from %s" t
              serve_trace_path))
     serve_ids;
-  let overheads =
-    List.init pairs (fun i -> 100.0 *. ((traced.(i) /. off.(i)) -. 1.0))
-  in
-  let costs_us =
-    List.init pairs (fun i ->
-        1e6 *. (traced.(i) -. off.(i)) /. float_of_int warm_requests)
-  in
-  let median xs = Rvu_numerics.Stats.percentile 50.0 (Array.to_list xs) in
-  (median off, median traced, overheads, costs_us, List.length serve_ids)
+  (timings.(0), timings.(1), List.length serve_ids)
 
 (* ------------------------------------------------------------------ *)
 (* Phase 2: router + traced workers, stitched *)
@@ -214,55 +197,21 @@ let run () =
       "perf-trace: manages its own trace sinks; run it without --trace";
   Util.banner "PERF-TRACE"
     (Printf.sprintf
-       "Tracing overhead (%d warm requests x %d off/traced pairs) + \
-        stitched router/%d-worker timeline (%d requests)"
-       warm_requests pairs shards cluster_requests);
-  let wall_off, wall_traced, overheads, costs_us, serve_exemplars =
-    bench_overhead ()
-  in
-  let pct p = Rvu_numerics.Stats.percentile p overheads in
-  let overhead = pct 50.0 and q1 = pct 25.0 and q3 = pct 75.0 in
-  let cost_us = Rvu_numerics.Stats.percentile 50.0 costs_us in
+       "Tracing overhead (%d warm requests per unit, %d off/traced rounds) \
+        + stitched router/%d-worker timeline (%d requests)"
+       warm_requests Util.rounds shards cluster_requests);
+  let off, traced, serve_exemplars = bench_overhead () in
+  let pct ratio = 100.0 *. (ratio -. 1.0) in
+  let overhead = pct traced.ratio in
   let per_req_us wall = 1e6 *. wall /. float_of_int warm_requests in
+  let cost_us = per_req_us traced.cost in
   let bin = Util.rvu_bin ~name:"perf-trace" in
   let sum, forward_exemplars, warm = bench_cluster ~bin in
-
-  let t =
-    Rvu_report.Table.create
-      ~columns:
-        (List.map Rvu_report.Table.column
-           [
-             "mode";
-             "median wall (s)";
-             "us/request";
-             "overhead p50 (%)";
-             "p25-p75 (%)";
-             "cost p50 (us/request)";
-           ])
-  in
-  Rvu_report.Table.add_row t
-    [
-      "off";
-      Rvu_report.Table.fstr wall_off;
-      Rvu_report.Table.fstr (per_req_us wall_off);
-      "-";
-      "-";
-      "-";
-    ];
-  Rvu_report.Table.add_row t
-    [
-      "traced";
-      Rvu_report.Table.fstr wall_traced;
-      Rvu_report.Table.fstr (per_req_us wall_traced);
-      Rvu_report.Table.fstr overhead;
-      Printf.sprintf "%.2f to %.2f" q1 q3;
-      Rvu_report.Table.fstr cost_us;
-    ];
-  Util.table ~id:"perf-trace" t;
-  Util.note "per-pair overhead (%%): %s"
-    (String.concat " " (List.map (Printf.sprintf "%.1f") overheads));
-  Util.note "per-pair cost (us/request): %s"
-    (String.concat " " (List.map (Printf.sprintf "%.2f") costs_us));
+  Util.note
+    "%.2f us per untraced request, %.2f us traced; tracing cost %.2f us per \
+     request (median), overhead %.2f%% (quartiles %.2f%% to %.2f%%)."
+    (per_req_us off.wall) (per_req_us traced.wall) cost_us overhead
+    (pct traced.ratio_q1) (pct traced.ratio_q3);
   Util.note
     "stitched %d file(s), %d event(s): %d trace id(s), %d cross-process, %d \
      on 3+ lanes, %d re-parented; %d serve + %d forward exemplar(s) \
@@ -276,12 +225,12 @@ let run () =
         ("experiment", Wire.String "perf-trace");
         ("scenarios", Wire.Int scenarios);
         ("warm_requests", Wire.Int warm_requests);
-        ("pairs", Wire.Int pairs);
-        ("wall_s_off", Wire.Float wall_off);
-        ("wall_s_traced", Wire.Float wall_traced);
+        ("rounds", Wire.Int Util.rounds);
+        ("wall_s_off", Wire.Float off.wall);
+        ("wall_s_traced", Wire.Float traced.wall);
         ("overhead_traced_pct", Wire.Float overhead);
-        ("overhead_traced_pct_q1", Wire.Float q1);
-        ("overhead_traced_pct_q3", Wire.Float q3);
+        ("overhead_traced_pct_q1", Wire.Float (pct traced.ratio_q1));
+        ("overhead_traced_pct_q3", Wire.Float (pct traced.ratio_q3));
         ("overhead_traced_us_per_request", Wire.Float cost_us);
         ("serve_exemplars", Wire.Int serve_exemplars);
         ("serve_exemplars_in_trace", Wire.Bool true);
@@ -301,10 +250,10 @@ let run () =
       ]
   in
   Util.write_artifact 10 json;
-  (* Gated after the JSON is written, so a failing run leaves its pairs'
-     quartiles behind. The expectation is low single digits; the median
-     of interleaved pairs keeps one slow pass from deciding the gate. A
-     negative overhead just means the gap is below noise. *)
+  (* Gated after the JSON is written, so a failing run leaves its rounds'
+     quartiles behind. The median of alternating rounds keeps one slow
+     round from deciding the gate. A negative overhead just means the gap
+     is below noise. *)
   if Float.is_finite overhead && overhead > 5.0 then
     failwith
       (Printf.sprintf

@@ -48,7 +48,8 @@
                       writes BENCH_10.json
 
    The perf-* experiments share one harness (Util): one scenario family,
-   one loadgen pass driver and one artifact writer. Each writes its
+   one A/B driver for timed configurations, one loadgen pass driver and
+   one artifact writer. Each writes its
    BENCH_<n>.json to the working directory; perf-cluster and perf-trace
    spawn ../bin/rvu.exe next to this executable (RVU_BIN overrides).
 

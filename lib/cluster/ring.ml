@@ -7,45 +7,44 @@
 let fnv_basis = 0xcbf29ce484222325L
 let fnv_prime = 0x100000001b3L
 
-let fnv1a_str h s =
-  let h = ref h in
-  String.iter
-    (fun c ->
-      h := Int64.logxor !h (Int64.of_int (Char.code c));
-      h := Int64.mul !h fnv_prime)
-    s;
-  !h
-
-let fnv1a_parts parts =
+(* FNV-1a over the parts, with a separator byte folded in after each so
+   concatenation boundaries matter: ["ab";"c"] and ["a";"bc"] must not
+   collide trivially. A [for] loop keeps the accumulator unboxed. *)
+let key_hash parts =
   List.fold_left
     (fun h part ->
-      let h = fnv1a_str h part in
-      (* Fold a separator byte between parts so concatenation boundaries
-         matter: ["ab";"c"] and ["a";"bc"] must not collide trivially. *)
-      Int64.mul (Int64.logxor h 0x1fL) fnv_prime)
+      let h = ref h in
+      for i = 0 to String.length part - 1 do
+        let c = Int64.of_int (Char.code (String.unsafe_get part i)) in
+        h := Int64.mul (Int64.logxor !h c) fnv_prime
+      done;
+      Int64.mul (Int64.logxor !h 0x1fL) fnv_prime)
     fnv_basis parts
 
-let score ~shard ~parts =
-  let key_hash = fnv1a_parts parts in
+let shard_score key shard =
   let shard_hash = Rvu_obs.Splitmix.mix64 (Int64.of_int (shard + 1)) in
-  Rvu_obs.Splitmix.mix64 (Int64.logxor key_hash shard_hash)
+  Rvu_obs.Splitmix.mix64 (Int64.logxor key shard_hash)
+
+let score ~shard ~parts = shard_score (key_hash parts) shard
 
 let pick ~live ~parts =
+  let key = key_hash parts in
   let best = ref (-1) and best_score = ref 0L in
-  Array.iteri
-    (fun i alive ->
-      if alive then
-        let s = score ~shard:i ~parts in
-        if !best < 0 || Int64.unsigned_compare s !best_score > 0 then begin
-          best := i;
-          best_score := s
-        end)
-    live;
+  for i = 0 to Array.length live - 1 do
+    if live.(i) then begin
+      let s = shard_score key i in
+      if !best < 0 || Int64.unsigned_compare s !best_score > 0 then begin
+        best := i;
+        best_score := s
+      end
+    end
+  done;
   if !best < 0 then None else Some !best
 
 let order ~shards ~parts =
   let idx = Array.init shards (fun i -> i) in
-  let scores = Array.init shards (fun i -> score ~shard:i ~parts) in
+  let key = key_hash parts in
+  let scores = Array.init shards (shard_score key) in
   Array.sort
     (fun a b ->
       match Int64.unsigned_compare scores.(b) scores.(a) with

@@ -2,7 +2,7 @@
 
     The router keys every cacheable request on its canonical routing key
     (the request line with the envelope fields masked out — see
-    {!Frame.mask}) and must send equal keys to the same shard so that
+    {!Frame.routing_parts}) and must send equal keys to the same shard so that
     shard's [Lru]/[Stream_cache] stays hot for its slice of the keyspace.
 
     HRW was chosen over a fixed-size ring because eviction behaviour falls

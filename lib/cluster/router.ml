@@ -808,13 +808,12 @@ let handle_fanout t ~client env ~respond =
 (* ------------------------------------------------------------------ *)
 (* Client lines / frames *)
 
-let local_error t ~client ~respond ~count_latency ~id code msg =
+let local_error ~client ~respond ~id code msg =
   let ctx = Ctx.derive id in
   Log.warn
     ~fields:[ ("ctx", Wire.String ctx); ("error", Wire.String msg) ]
     "request rejected";
-  respond (Conn.encode client (Proto.error_response ~ctx ~id code msg));
-  if count_latency then Metrics.observe t.m_latency 0.0
+  respond (Conn.encode client (Proto.error_response ~ctx ~id code msg))
 
 (* A client request that passed its codec's parse as an object. [bytes]
    is the request in the client's codec: forwarded verbatim when the
@@ -832,8 +831,7 @@ let route_parsed t ~client ~bytes w ~respond =
       (* Mirror [Proto.request_of_wire]'s envelope validation so a
          bad id is rejected here, with the server's exact message —
          a forwarded bad id would come back unmatchable. *)
-      local_error t ~client ~respond ~count_latency:false ~id:Wire.Null
-        Proto.Invalid_request
+      local_error ~client ~respond ~id:Wire.Null Proto.Invalid_request
         (Printf.sprintf "field %S: expected %s, got %s" "id"
            "an integer or string" (Wire.kind_name v))
   | _ -> (
@@ -842,16 +840,14 @@ let route_parsed t ~client ~bytes w ~respond =
           (* Transport negotiation never reaches a shard; past the first
              record (the session answers that one) it is an error, with
              the server's message. *)
-          local_error t ~client ~respond ~count_latency:false ~id
-            Proto.Invalid_request
+          local_error ~client ~respond ~id Proto.Invalid_request
             "hello must be the first record on a connection"
       | Some (Wire.String ("stats" | "metrics" | "health")) -> (
           (* Fan-out kinds are decoded fully so malformed envelopes
              (bad timeout, bad format) get the server's messages. *)
           match Proto.request_of_wire w with
           | Error msg ->
-              local_error t ~client ~respond ~count_latency:false ~id
-                Proto.Invalid_request msg
+              local_error ~client ~respond ~id Proto.Invalid_request msg
           | Ok env -> handle_fanout t ~client env ~respond)
       | _ ->
           let ctx = Ctx.derive id in
@@ -926,8 +922,7 @@ let handle_client t ~client bytes ~respond =
         reject Proto.Parse_error msg
     | Ok (Wire.Obj _ as w) -> route_parsed t ~client ~bytes w ~respond
     | Ok v ->
-        local_error t ~client ~respond ~count_latency:false ~id:Wire.Null
-          Proto.Invalid_request
+        local_error ~client ~respond ~id:Wire.Null Proto.Invalid_request
           (Printf.sprintf "expected a request object, got %s" (Wire.kind_name v))
 
 let handle_line t = handle_client t ~client:Wb.Json

@@ -13,8 +13,6 @@ type histogram = {
   counts : int array; (* length bounds + 1; last slot is the +Inf bucket *)
   mutable h_count : int;
   mutable h_sum : float;
-  mutable samples : float array option; (* Some when retaining; grown 2x *)
-  mutable n_samples : int;
   mutable h_exemplars : (float * string * float) option array option;
       (* length bounds + 1, allocated on the first exemplar; slot i holds
          the latest (value, trace id, unix time) that landed in bucket i *)
@@ -103,7 +101,7 @@ let check_bounds bounds =
       invalid_arg "Metrics.histogram: bucket bounds must be strictly increasing"
   done
 
-let make_histogram ~buckets ~retain_samples id =
+let make_histogram ~buckets id =
   check_bounds buckets;
   {
     h_ident = id;
@@ -112,23 +110,18 @@ let make_histogram ~buckets ~retain_samples id =
     counts = Array.make (Array.length buckets + 1) 0;
     h_count = 0;
     h_sum = 0.0;
-    samples = (if retain_samples then Some (Array.make 64 0.0) else None);
-    n_samples = 0;
     h_exemplars = None;
   }
 
-let histogram ?(help = "") ?(labels = []) ?(buckets = default_buckets)
-    ?(retain_samples = false) name =
+let histogram ?(help = "") ?(labels = []) ?(buckets = default_buckets) name =
   match
-    register ~help ~name ~labels (fun id ->
-        H (make_histogram ~buckets ~retain_samples id))
+    register ~help ~name ~labels (fun id -> H (make_histogram ~buckets id))
   with
   | H h -> h
   | m -> wrong_kind name m "histogram"
 
-let private_histogram ?(buckets = default_buckets) ?(retain_samples = false) ()
-    =
-  make_histogram ~buckets ~retain_samples ("", [])
+let private_histogram ?(buckets = default_buckets) () =
+  make_histogram ~buckets ("", [])
 
 (* ------------------------------------------------------------------ *)
 (* Recording *)
@@ -182,20 +175,6 @@ let observe h x =
     h.counts.(i) <- h.counts.(i) + 1;
     h.h_count <- h.h_count + 1;
     h.h_sum <- h.h_sum +. x;
-    (match h.samples with
-    | None -> ()
-    | Some buf ->
-        let buf =
-          if h.n_samples < Array.length buf then buf
-          else begin
-            let fresh = Array.make (2 * Array.length buf) 0.0 in
-            Array.blit buf 0 fresh 0 h.n_samples;
-            h.samples <- Some fresh;
-            fresh
-          end
-        in
-        buf.(h.n_samples) <- x;
-        h.n_samples <- h.n_samples + 1);
     (* Registry histograms attach the ambient request context's trace id
        (if any) as an OpenMetrics exemplar — last writer per bucket wins,
        which is the conventional "most recent exemplar" policy. Private
@@ -262,20 +241,6 @@ let quantile h q =
         in
         find 0 0
       end)
-
-let exact_quantile h q =
-  if not (0.0 <= q && q <= 1.0) then
-    invalid_arg "Metrics.exact_quantile: q outside [0, 1]";
-  locked_h h (fun () ->
-      match h.samples with
-      | None ->
-          invalid_arg
-            "Metrics.exact_quantile: histogram does not retain samples"
-      | Some buf ->
-          if h.n_samples = 0 then Float.nan
-          else
-            Rvu_numerics.Stats.percentile (100.0 *. q)
-              (Array.to_list (Array.sub buf 0 h.n_samples)))
 
 let exemplars h =
   locked_h h (fun () ->

@@ -12,10 +12,9 @@
       walls). Recording is O(log buckets) — a binary search plus an
       increment under the histogram's mutex — with bucket counts, total
       count and sum maintained together so exposition needs no pass over
-      samples. A histogram created with [~retain_samples:true]
-      additionally keeps every raw observation, enabling {e exact}
-      quantiles ({!exact_quantile}) — meant for tests and for bounded
-      client-side runs (the load generator), not for unbounded servers.
+      samples. Raw observations are not kept: a caller that needs exact
+      quantiles keeps its own samples (the load generator reduces its
+      latency array with [Rvu_numerics.Stats.percentile]).
 
     {b Identity.} Metrics are identified by [(name, labels)]. The
     constructors are idempotent: asking twice for the same identity
@@ -49,7 +48,6 @@ val histogram :
   ?help:string ->
   ?labels:(string * string) list ->
   ?buckets:float array ->
-  ?retain_samples:bool ->
   string ->
   histogram
 (** [buckets] are upper bounds, strictly increasing, all finite; an
@@ -57,12 +55,11 @@ val histogram :
     {!default_buckets}). Raises [Invalid_argument] on unsorted,
     non-finite or empty bounds. *)
 
-val private_histogram :
-  ?buckets:float array -> ?retain_samples:bool -> unit -> histogram
+val private_histogram : ?buckets:float array -> unit -> histogram
 (** A histogram {e outside} the registry — same recording and quantile
     machinery, but invisible to {!snapshot}/{!expose}. For per-run
-    measurement (e.g. one load-generator run) where a process-wide
-    cumulative series would conflate runs. Private histograms are
+    measurement where a process-wide cumulative series would conflate
+    runs. Private histograms are
     measurement state, not instrumentation, so the kill switch does not
     silence them. *)
 
@@ -106,12 +103,6 @@ val quantile : histogram -> float -> float
     bucket width (samples past the last finite bound clamp to it).
     [nan] on an empty histogram; raises [Invalid_argument] if [q] is
     outside [\[0, 1\]]. *)
-
-val exact_quantile : histogram -> float -> float
-(** The exact interpolated percentile (same convention as
-    {!Rvu_numerics.Stats.percentile}) over the retained samples. [nan]
-    on an empty histogram; raises [Invalid_argument] unless the
-    histogram was created with [~retain_samples:true]. *)
 
 val exemplars : histogram -> (float * string * float) list
 (** The latest exemplar per bucket, bucket-ascending, as

@@ -17,7 +17,7 @@ type t = {
   mutable t_last : float;
 }
 
-let now () = Unix.gettimeofday ()
+let now = Rvu_obs.Clock.now_s
 
 (* ------------------------------------------------------------------ *)
 (* The default scenario mix *)
@@ -298,16 +298,16 @@ type summary = {
 
 let summary t =
   Mutex.lock t.lock;
-  (* One private histogram per summary call: the quantile machinery is
-     shared with the metrics registry, the data stays per-run. Retained
-     samples make the reported percentiles exact, not bucket estimates. *)
-  let h = Rvu_obs.Metrics.private_histogram ~retain_samples:true () in
-  Array.iter
-    (fun l -> if l >= 0.0 then Rvu_obs.Metrics.observe h (l *. 1000.0))
-    t.latency;
+  let ms =
+    Array.fold_right
+      (fun l acc -> if l >= 0.0 then (l *. 1000.0) :: acc else acc)
+      t.latency []
+  in
   let wall_s = Float.max 1e-9 (t.t_last -. t.t_start) in
-  let pct q = Rvu_obs.Metrics.exact_quantile h q in
-  let count = Rvu_obs.Metrics.histogram_count h in
+  let pct q =
+    if ms = [] then Float.nan
+    else Rvu_numerics.Stats.percentile (100.0 *. q) ms
+  in
   let s =
     {
       requests = t.n;
@@ -323,8 +323,8 @@ let summary t =
       p99_ms = pct 0.99;
       p999_ms = pct 0.999;
       mean_ms =
-        (if count = 0 then Float.nan
-         else Rvu_obs.Metrics.histogram_sum h /. float_of_int count);
+        (if ms = [] then Float.nan
+         else List.fold_left ( +. ) 0.0 ms /. float_of_int (List.length ms));
       max_ms = pct 1.0;
     }
   in

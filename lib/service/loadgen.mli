@@ -43,7 +43,9 @@ val drive : ?rate:float -> send:(string -> unit) -> t -> unit
 (** Send every request line through [send], pacing to [rate] requests per
     second ([0.], the default, means as fast as [send] accepts — useful to
     probe the overload behaviour). Send timestamps are recorded just
-    before each [send], so latency includes queueing. *)
+    before each [send], so latency includes queueing. Sends, arrivals,
+    pacing and {!wait}'s deadline all read the monotonic
+    {!Rvu_obs.Clock}. *)
 
 val note_response : t -> string -> unit
 (** Feed one response line back (from the socket-reader loop or the
@@ -73,10 +75,9 @@ type summary = {
 
 val summary : t -> summary
 (** Latency statistics cover completed requests; an incomplete run (see
-    {!wait}) still summarizes what arrived. Percentiles are computed
-    through {!Rvu_obs.Metrics.exact_quantile} over a sample-retaining
-    {!Rvu_obs.Metrics.private_histogram} — the same interpolation
-    convention as {!Rvu_numerics.Stats.percentile}. *)
+    {!wait}) still summarizes what arrived. Percentiles are exact:
+    {!Rvu_numerics.Stats.percentile} over the completed latencies, in
+    milliseconds; [nan] when nothing completed. *)
 
 val summary_json : summary -> Wire.t
 val print_summary : summary -> unit

@@ -40,6 +40,35 @@ let test_ring_deterministic () =
   check_bool "no live shard routes nowhere" true
     (Ring.pick ~live:[| false; false; false |] ~parts = None)
 
+(* Scores, picks and orders pinned to the values the scheme has always
+   produced: a change to the hash (the FNV-1a fold, the separator byte,
+   the shard mix) would move every cached key to another shard. *)
+let test_ring_pinned () =
+  List.iter
+    (fun (shard, parts, expected) ->
+      check_bool
+        (Printf.sprintf "score %d [%s]" shard (String.concat ";" parts))
+        true
+        (Ring.score ~shard ~parts = expected))
+    [
+      (0, key_parts 7, -2129296543349391346L);
+      (3, [ "ab"; "c" ], 7496479211273932353L);
+      (1, [], 4060990635338107402L);
+    ];
+  let live = Array.make 4 true in
+  List.iter
+    (fun (i, pick, order) ->
+      check_bool (Printf.sprintf "pick of key %d" i) true
+        (Ring.pick ~live ~parts:(key_parts i) = Some pick);
+      check_bool (Printf.sprintf "order of key %d" i) true
+        (Ring.order ~shards:5 ~parts:(key_parts i) = order))
+    [
+      (0, 1, [| 1; 2; 4; 0; 3 |]);
+      (1, 0, [| 0; 3; 2; 4; 1 |]);
+      (2, 3, [| 3; 0; 2; 1; 4 |]);
+      (42, 2, [| 4; 2; 3; 1; 0 |]);
+    ]
+
 let test_ring_balance () =
   let shards = 4 and n = 4000 in
   let counts = Array.make shards 0 in
@@ -848,6 +877,8 @@ let () =
       ( "ring",
         [
           Alcotest.test_case "deterministic" `Quick test_ring_deterministic;
+          Alcotest.test_case "pinned scores, picks and orders" `Quick
+            test_ring_pinned;
           Alcotest.test_case "balanced" `Quick test_ring_balance;
           Alcotest.test_case "minimal disruption" `Quick
             test_ring_minimal_disruption;

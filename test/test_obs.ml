@@ -83,25 +83,6 @@ let test_concurrent_histogram_count () =
 (* ------------------------------------------------------------------ *)
 (* Quantiles *)
 
-let test_exact_quantile_is_stats_percentile () =
-  let samples =
-    List.init 257 (fun i -> Float.of_int ((i * 7919) mod 997) /. 100.0)
-  in
-  let h =
-    Metrics.private_histogram
-      ~buckets:(Metrics.exponential_buckets ~lo:0.01 ~factor:3.0 ~count:8)
-      ~retain_samples:true ()
-  in
-  List.iter (Metrics.observe h) samples;
-  List.iter
-    (fun q ->
-      let expected = Rvu_numerics.Stats.percentile (100.0 *. q) samples in
-      check_bool
-        (Printf.sprintf "q=%g matches Stats.percentile" q)
-        true
-        (Metrics.exact_quantile h q = expected))
-    [ 0.0; 0.25; 0.5; 0.95; 0.99; 0.999; 1.0 ]
-
 (* The bucketed estimate and the true nearest-rank sample must land in the
    same bucket, so they differ by less than that bucket's width. *)
 let prop_bucketed_quantile_error_bounded =
@@ -120,7 +101,7 @@ let prop_bucketed_quantile_error_bounded =
     (fun (samples, q) ->
       QCheck.assume (samples <> []);
       let samples = List.map Float.abs samples in
-      let h = Metrics.private_histogram ~retain_samples:true () in
+      let h = Metrics.private_histogram () in
       List.iter (Metrics.observe h) samples;
       let est = Metrics.quantile h q in
       let n = List.length samples in
@@ -151,11 +132,7 @@ let test_quantile_edge_cases () =
   let last = bounds.(Array.length bounds - 1) in
   Metrics.observe h (10.0 *. last);
   check_bool "overflow clamps to last bound" true
-    (Metrics.quantile h 1.0 = last);
-  check_bool "exact_quantile without retention raises" true
-    (match Metrics.exact_quantile h 0.5 with
-    | _ -> false
-    | exception Invalid_argument _ -> true)
+    (Metrics.quantile h 1.0 = last)
 
 (* ------------------------------------------------------------------ *)
 (* Kill switch *)
@@ -165,7 +142,7 @@ let test_kill_switch () =
   let h =
     Metrics.histogram ~buckets:[| 1.0; 2.0 |] "test_obs_switch_seconds"
   in
-  let p = Metrics.private_histogram ~retain_samples:true () in
+  let p = Metrics.private_histogram () in
   Metrics.set_enabled false;
   Fun.protect
     ~finally:(fun () -> Metrics.set_enabled true)
@@ -976,8 +953,6 @@ let () =
         ] );
       ( "quantiles",
         [
-          Alcotest.test_case "exact_quantile = Stats.percentile" `Quick
-            test_exact_quantile_is_stats_percentile;
           QCheck_alcotest.to_alcotest prop_bucketed_quantile_error_bounded;
           Alcotest.test_case "edge cases" `Quick test_quantile_edge_cases;
         ] );

@@ -534,6 +534,70 @@ let test_server_overload_sheds () =
   check_bool "flood past depth 2 shed something" true (shed > 0);
   check_bool "requests within depth still served" true (shed < n)
 
+(* Loadgen against an in-process server: a flood past the queue depth
+   answers ok or overloaded; a duplicate and an unknown id count as
+   other errors (and as progress); an incomplete run still summarizes
+   what arrived. *)
+let test_loadgen_summary () =
+  let module Loadgen = Rvu_service.Loadgen in
+  let flood = 12 in
+  let lines =
+    Array.init (flood + 2) (fun i ->
+        simulate_line ~id:(i + 1) (6.0 +. (0.01 *. float_of_int i)))
+  in
+  let server =
+    Server.create
+      ~config:
+        {
+          Server.default_config with
+          Server.jobs = 1;
+          queue_depth = 2;
+          cache_entries = 0;
+          timeout_ms = None;
+        }
+      ()
+  in
+  let lg = Loadgen.create ~lines ~requests:(flood + 2) () in
+  (* The last two requests are never sent; a duplicate of id 1 and an
+     unknown id stand in for their answers. *)
+  let sent = ref 0 in
+  Loadgen.drive lg ~send:(fun line ->
+      incr sent;
+      if !sent <= flood then
+        Server.handle_line server line ~respond:(Loadgen.note_response lg));
+  Server.wait_idle server;
+  Loadgen.note_response lg {|{"id":1,"ok":{}}|};
+  Loadgen.note_response lg {|{"id":99,"ok":{}}|};
+  check_bool "every request accounted for" true (Loadgen.wait lg);
+  let s = Loadgen.summary lg in
+  check_int "completed" (flood + 2) s.completed;
+  check_int "flood answered ok or overloaded" flood (s.ok + s.overloaded);
+  check_bool "the flood shed something" true (s.overloaded > 0);
+  check_int "duplicate and unknown ids are other errors" 2 s.other_errors;
+  check_int "no timeouts" 0 s.timeouts;
+  check_bool "p50 <= p95 <= p99 <= p99.9 <= max" true
+    (s.p50_ms <= s.p95_ms && s.p95_ms <= s.p99_ms && s.p99_ms <= s.p999_ms
+   && s.p999_ms <= s.max_ms);
+  check_bool "mean within the samples" true
+    (s.mean_ms > 0.0 && s.mean_ms <= s.max_ms);
+  (* Incomplete: only request 1 of 3 is sent. *)
+  let lg = Loadgen.create ~lines:(Array.sub lines 0 3) ~requests:3 () in
+  sent := 0;
+  Loadgen.drive lg ~send:(fun line ->
+      incr sent;
+      if !sent = 1 then
+        Server.handle_line server line ~respond:(Loadgen.note_response lg));
+  Server.wait_idle server;
+  check_bool "wait reports the missing responses" false
+    (Loadgen.wait ~timeout_s:0.05 lg);
+  let s = Loadgen.summary lg in
+  Server.stop server;
+  check_int "requests" 3 s.requests;
+  check_int "completed" 1 s.completed;
+  check_int "ok" 1 s.ok;
+  check_bool "one arrival summarized" true
+    (Float.is_finite s.p50_ms && s.p50_ms = s.max_ms && s.mean_ms = s.max_ms)
+
 let test_server_cache_hits () =
   let config =
     { Server.default_config with Server.jobs = 1; queue_depth = 8; cache_entries = 8; timeout_ms = None }
@@ -1705,6 +1769,8 @@ let () =
           Alcotest.test_case "trace spans carry the request ctx" `Quick
             test_server_trace_span_ctx;
           Alcotest.test_case "health probe" `Quick test_server_health_probe;
+          Alcotest.test_case "loadgen counts and summaries" `Quick
+            test_loadgen_summary;
         ] );
       ( "binary path",
         [
