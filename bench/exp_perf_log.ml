@@ -109,8 +109,8 @@ let drive ~jobs ~log_file name logging =
 (* The fastest pass's wall per drive: a configuration's pass is its
    drives in one round, and each drive's wall is the loadgen's own, first
    send to last response. The driver's wall of the same drive also holds
-   up to one 20 ms tick of {!Loadgen.wait}'s completion poll, too coarse
-   for a 5% gate on drives of tens of milliseconds. *)
+   the loadgen's creation, its completion wait and its summary, none of
+   which is logging cost. *)
 let fastest_pass (t : Loadgen.summary Util.timing) =
   Array.fold_left
     (fun m drives ->

@@ -20,9 +20,10 @@
    {!Rvu_obs.Trace_merge}. The merged timeline must show at least one
    cross-process trace id, at least one shard serve span re-parented
    under a router forward span, at least one trace id reaching a GC
-   lane, and every exemplar trace id recorded by the router's
-   forward-phase histogram must appear in the merged file — the
-   histogram-to-timeline round trip a latency investigation follows.
+   lane, and every exemplar trace id recorded by the router's latency
+   histogram (rvu_router_request_seconds) must appear in the merged
+   file — the histogram-to-timeline round trip a latency investigation
+   follows.
 
    Emits BENCH_10.json. *)
 
@@ -32,7 +33,6 @@ module Loadgen = Rvu_service.Loadgen
 module Router = Rvu_cluster.Router
 module Metrics = Rvu_obs.Metrics
 module Trace = Rvu_obs.Trace
-module Phase = Rvu_obs.Phase
 module Trace_merge = Rvu_obs.Trace_merge
 
 let scenarios = 32
@@ -158,10 +158,12 @@ let bench_cluster ~bin =
      last GC pauses into their rings before the SIGTERM flush. *)
   Unix.sleepf 0.15;
   stop ();
-  let forward_ids = exemplar_ids (Phase.seconds "forward") in
+  let forward_ids =
+    exemplar_ids (Metrics.histogram "rvu_router_request_seconds")
+  in
   Trace.close ();
   if forward_ids = [] then
-    failwith "perf-trace: router forward histogram attached no exemplars";
+    failwith "perf-trace: router latency histogram attached no exemplars";
   let inputs =
     ("router", router_trace_path)
     :: List.init shards (fun i ->

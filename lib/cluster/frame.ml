@@ -223,16 +223,15 @@ let splice_response line ~id_span:(is, ie) ~ctx_span ~id ~ctx =
   let b = Buffer.create (n + 16) in
   Buffer.add_substring b line 0 is;
   Buffer.add_string b id;
-  (match (ctx_span, ctx) with
-  | Some (cs, ce), Some ctx ->
+  (match ctx_span with
+  | Some (cs, ce) ->
       Buffer.add_substring b line ie (cs - ie);
       Buffer.add_string b ctx;
       Buffer.add_substring b line ce (n - ce)
-  | None, Some ctx ->
+  | None ->
       (* Worker response without a ctx field (should not happen with our
          servers): insert ours right after the id. *)
       Buffer.add_string b ",\"ctx\":";
       Buffer.add_string b ctx;
-      Buffer.add_substring b line ie (n - ie)
-  | _, None -> Buffer.add_substring b line ie (n - ie));
+      Buffer.add_substring b line ie (n - ie));
   Buffer.contents b

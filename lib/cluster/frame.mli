@@ -60,12 +60,13 @@ val splice_response :
   id_span:int * int ->
   ctx_span:(int * int) option ->
   id:string ->
-  ctx:string option ->
+  ctx:string ->
   string
 (** The response line with the ["id"] value span replaced by [id] (the
     client's id, canonically printed) and the ["ctx"] value span replaced
-    by [ctx] (a printed JSON string) when both are present. Every other
-    byte is copied through. *)
+    by [ctx] (a printed JSON string); a line without a ["ctx"] span gets
+    [ctx] inserted right after the id. Every other byte is copied
+    through. *)
 
 (** {1 Binary-frame analogues}
 

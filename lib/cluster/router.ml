@@ -17,7 +17,6 @@ module Log = Rvu_obs.Log
 module Ctx = Rvu_obs.Ctx
 module Clock = Rvu_obs.Clock
 module Trace = Rvu_obs.Trace
-module Phase = Rvu_obs.Phase
 
 type endpoint = { host : string; port : int; spawn : string array option }
 
@@ -108,8 +107,6 @@ type shard = {
   m_restarts : Metrics.counter;
 }
 
-type reader = { r_done : bool Atomic.t; mutable r_domain : unit Domain.t option }
-
 type t = {
   config : config;
   shards : shard array;
@@ -120,7 +117,8 @@ type t = {
   mutable stopping : bool;
   mutable stopped : bool;
   mutable supervisor : unit Domain.t option;
-  mutable readers : reader list;
+  mutable readers : (bool Atomic.t * unit Domain.t) list;
+      (** shard readers, each with its finished flag *)
   m_retried : Metrics.counter;
   m_shed : Metrics.counter;
   m_stale : Metrics.counter;
@@ -147,6 +145,15 @@ let shard_fields sh =
     ("shard", Wire.Int sh.index);
     ("endpoint", Wire.String (endpoint_string sh.endpoint));
   ]
+
+(* One breakdown entry per shard: its identity and status, then [extra]. *)
+let shard_list t extra =
+  let entry (sh : shard) =
+    Wire.Obj
+      (shard_fields sh
+      @ (("status", Wire.String (status_string sh.status)) :: extra sh))
+  in
+  Wire.List (List.map entry (Array.to_list t.shards))
 
 (* ------------------------------------------------------------------ *)
 (* Outstanding-request accounting *)
@@ -200,22 +207,35 @@ let set_status_locked sh status ~reason =
   end
 
 (* ------------------------------------------------------------------ *)
-(* Dispatch, eviction, retry *)
+(* The pending-request lifecycle: file and write ([send]), take back
+   ([take_locked]), answer ([complete]); a routed request is re-routed
+   ([redispatch]) until its retries run out and it is shed. *)
 
-(* Write one request to a shard connection in the shard codec. Must hold
-   [sh.lock] (callers handle the write-error teardown). *)
-let write_conn t (c : conn) payload = Conn.write t.config.wire c.oc payload
+(* Remove [rid]'s pending entry and return it, if it is still there.
+   Must hold [sh.lock]. *)
+let take_locked (sh : shard) rid =
+  match Hashtbl.find_opt sh.pending rid with
+  | None -> None
+  | Some (p, _) ->
+      Hashtbl.remove sh.pending rid;
+      (match p with
+      | Routed _ -> Metrics.gauge_add sh.m_in_flight (-1.0)
+      | Internal _ -> ());
+      if sh.probe_rid = Some rid then sh.probe_rid <- None;
+      Some p
 
-(* Close out a routed request under its context: the forward-phase
-   observation (so the histogram's exemplar points at the trace that
-   produced the latency) and, with tracing on, the forward span — an 'X'
-   complete event, because the span begins on the client connection's
-   domain and resolves on the shard reader's, so B/E pairs cannot pair
-   up. The shard's serve span is parented under this span's id, which is
-   the join [rvu trace-merge] re-parents on. *)
-let finish_forward ?shard (r : routed) dt =
+(* Answer a routed request and close it out under its context, so the
+   latency observation's exemplar points at the trace that produced it.
+   With tracing on it also emits the forward span: an 'X' complete event,
+   because the span begins on the client connection's domain and resolves
+   on the shard reader's, so B/E pairs cannot pair up. The shard's serve
+   span is parented under this span's id, which is the join
+   [rvu trace-merge] re-parents on. *)
+let complete t ?shard (r : routed) response =
+  r.r_respond response;
+  let dt = Clock.now_s () -. r.r_t0 in
   Ctx.with_ctx r.r_ctx (fun () ->
-      Phase.observe "forward" dt;
+      Metrics.observe t.m_latency dt;
       if r.r_ctx.span <> None then
         Trace.complete
           ~args:
@@ -224,36 +244,50 @@ let finish_forward ?shard (r : routed) dt =
             (match shard with
             | Some i -> [ ("shard", Wire.Int i) ]
             | None -> []))
-          ~ts_us:(r.r_t0 *. 1e6) ~dur_us:(dt *. 1e6) "forward")
+          ~ts_us:(r.r_t0 *. 1e6) ~dur_us:(dt *. 1e6) "forward");
+  leave t
 
-let rec dispatch t (r : routed) =
+(* File [entry] under [rid] on [sh] and write [payload] in the shard
+   codec. [false] when the shard has no connection or the write fails;
+   on a write error the entry is taken back and the connection marked
+   down, so the caller alone re-routes or fails the request. *)
+let rec send t (sh : shard) ~rid ~deadline entry payload =
+  Mutex.lock sh.lock;
+  match sh.conn with
+  | None ->
+      Mutex.unlock sh.lock;
+      false
+  | Some c -> (
+      Hashtbl.replace sh.pending rid (entry, deadline);
+      (match entry with
+      | Routed _ ->
+          Metrics.gauge_add sh.m_in_flight 1.0;
+          Metrics.incr sh.m_routed
+      | Internal _ -> ());
+      match Conn.write t.config.wire c.oc payload with
+      | () ->
+          Mutex.unlock sh.lock;
+          true
+      | exception _ ->
+          ignore (take_locked sh rid);
+          Mutex.unlock sh.lock;
+          mark_down t sh ~gen:c.gen ~reason:"write error";
+          false)
+
+(* Each attempt gets the whole route timeout, counted from its own
+   dispatch. *)
+and dispatch t (r : routed) =
   match Ring.pick ~live:(live t) ~parts:r.r_parts with
   | None -> shed t r "no live shard"
-  | Some i -> (
-      let sh = t.shards.(i) in
+  | Some i ->
       let rid = next_rid t in
-      let line =
-        r.r_pre ^ Conn.encode t.config.wire (Wire.Int rid) ^ r.r_post
-      in
-      Mutex.lock sh.lock;
-      match sh.conn with
-      | None ->
-          Mutex.unlock sh.lock;
-          redispatch t { r with r_retries = r.r_retries + 1 }
-      | Some c -> (
-          Hashtbl.replace sh.pending rid
-            (Routed r, r.r_t0 +. route_timeout_s t);
-          Metrics.gauge_add sh.m_in_flight 1.0;
-          Metrics.incr sh.m_routed;
-          match write_conn t c line with
-          | () -> Mutex.unlock sh.lock
-          | exception _ ->
-              Hashtbl.remove sh.pending rid;
-              Metrics.gauge_add sh.m_in_flight (-1.0);
-              let gen = c.gen in
-              Mutex.unlock sh.lock;
-              mark_down t sh ~gen ~reason:"write error";
-              redispatch t { r with r_retries = r.r_retries + 1 }))
+      if
+        not
+          (send t t.shards.(i) ~rid
+             ~deadline:(Clock.now_s () +. route_timeout_s t)
+             (Routed r)
+             (r.r_pre ^ Conn.encode t.config.wire (Wire.Int rid) ^ r.r_post))
+      then redispatch t { r with r_retries = r.r_retries + 1 }
 
 and redispatch t (r : routed) =
   if r.r_retries > t.config.max_retries then shed t r "shard retries exhausted"
@@ -271,14 +305,10 @@ and shed t (r : routed) reason =
   Log.warn
     ~fields:[ ("ctx", Wire.String r.r_ctx.cid); ("reason", Wire.String reason) ]
     "request shed";
-  r.r_respond
+  complete t r
     (Conn.encode r.r_client
        (Proto.error_response ~ctx:r.r_ctx.cid ~id:r.r_id Proto.Overloaded
-          reason));
-  let dt = Clock.now_s () -. r.r_t0 in
-  Metrics.observe t.m_latency dt;
-  finish_forward r dt;
-  leave t
+          reason))
 
 (* Tear down a shard connection (if it is still the [gen] one), strand its
    pending requests onto the surviving shards, and schedule a reconnect.
@@ -336,27 +366,14 @@ let resolve_shard t (sh : shard) rid_opt ~build ~parsed =
       Log.debug ~fields:(shard_fields sh) "unmatched shard line"
   | Some rid -> (
       Mutex.lock sh.lock;
-      let entry = Hashtbl.find_opt sh.pending rid in
-      (match entry with
-      | Some (p, _) ->
-          Hashtbl.remove sh.pending rid;
-          (match p with
-          | Routed _ -> Metrics.gauge_add sh.m_in_flight (-1.0)
-          | Internal _ -> ());
-          if sh.probe_rid = Some rid then sh.probe_rid <- None
-      | None -> ());
+      let entry = take_locked sh rid in
       Mutex.unlock sh.lock;
       match entry with
       | None ->
           Metrics.incr t.m_stale;
           Log.debug ~fields:(shard_fields sh) "stale shard response"
-      | Some (Routed r, _) ->
-          r.r_respond (build r);
-          let dt = Clock.now_s () -. r.r_t0 in
-          Metrics.observe t.m_latency dt;
-          finish_forward ~shard:sh.index r dt;
-          leave t
-      | Some (Internal i, _) -> i.deliver (parsed ()))
+      | Some (Routed r) -> complete t ~shard:sh.index r (build r)
+      | Some (Internal i) -> i.deliver (parsed ()))
 
 (* One shard reply, a record in the shard codec [t.config.wire]. The
    fast path scans the reply's id and ctx value spans and, when the client
@@ -379,18 +396,12 @@ let handle_shard_record t (sh : shard) record =
     | Wb.Json ->
         Option.map
           (fun (rid, id_span, ctx_span) ->
-            ( rid,
-              fun (r : routed) ->
-                Frame.splice_response record ~id_span ~ctx_span
-                  ~id:r.r_id_bytes ~ctx:(Some r.r_ctx_bytes) ))
+            (rid, Frame.splice_response record ~id_span ~ctx_span))
           (Frame.response_spans record)
     | Wb.Binary ->
         Option.map
           (fun (rid, id_span, ctx_span) ->
-            ( rid,
-              fun (r : routed) ->
-                Frame.bin_splice_response record ~id_span ~ctx_span
-                  ~id:r.r_id_bytes ~ctx:r.r_ctx_bytes ))
+            (rid, Frame.bin_splice_response record ~id_span ~ctx_span))
           (Frame.bin_response_spans record)
   in
   let rid_opt, build =
@@ -398,7 +409,8 @@ let handle_shard_record t (sh : shard) record =
     | Some (rid, splice) ->
         ( Some rid,
           fun (r : routed) ->
-            if r.r_client = wire then splice r else substituted r )
+            if r.r_client <> wire then substituted r
+            else splice ~id:r.r_id_bytes ~ctx:r.r_ctx_bytes )
     | None -> (
         match Lazy.force parsed with
         | Ok w -> (
@@ -411,7 +423,7 @@ let handle_shard_record t (sh : shard) record =
       Result.to_option (Lazy.force parsed))
 
 let spawn_reader t (sh : shard) conn =
-  let reader = { r_done = Atomic.make false; r_domain = None } in
+  let finished = Atomic.make false in
   let d =
     Domain.spawn (fun () ->
         (try
@@ -423,51 +435,33 @@ let spawn_reader t (sh : shard) conn =
            writer stops at [mark_down] (conn is gone before we get here),
            so closing cannot race a write. *)
         close_in_noerr conn.ic;
-        Atomic.set reader.r_done true)
+        Atomic.set finished true)
   in
-  reader.r_domain <- Some d;
   Mutex.lock t.lock;
-  t.readers <- reader :: t.readers;
+  t.readers <- (finished, d) :: t.readers;
   Mutex.unlock t.lock
 
 let reap_readers t ~all =
   Mutex.lock t.lock;
   let finished, running =
-    List.partition
-      (fun r -> all || Atomic.get r.r_done)
-      t.readers
+    List.partition (fun (finished, _) -> all || Atomic.get finished) t.readers
   in
   t.readers <- running;
   Mutex.unlock t.lock;
-  List.iter
-    (fun r -> match r.r_domain with Some d -> Domain.join d | None -> ())
-    finished
+  List.iter (fun (_, d) -> Domain.join d) finished
 
 (* ------------------------------------------------------------------ *)
 (* Internal sub-requests (probes, fan-out) *)
 
-(* An internal sub-request ([health]/[stats]/[metrics]) in the shard
-   codec. *)
-let internal_request t ~rid kind =
-  Conn.encode t.config.wire
-    (Wire.Obj [ ("id", Wire.Int rid); ("kind", Wire.String kind) ])
-
-let send_internal t (sh : shard) ~rid ~deadline ~deliver payload =
-  Mutex.lock sh.lock;
-  match sh.conn with
-  | None ->
-      Mutex.unlock sh.lock;
-      deliver None
-  | Some c -> (
-      Hashtbl.replace sh.pending rid (Internal { deliver }, deadline);
-      match write_conn t c payload with
-      | () -> Mutex.unlock sh.lock
-      | exception _ ->
-          Hashtbl.remove sh.pending rid;
-          let gen = c.gen in
-          Mutex.unlock sh.lock;
-          mark_down t sh ~gen ~reason:"write error";
-          deliver None)
+(* Send an internal sub-request ([health]/[stats]/[metrics]) under
+   [rid]; [deliver None] at once when it cannot be sent. *)
+let ask t (sh : shard) ~rid ~deadline ~deliver kind =
+  let payload =
+    Conn.encode t.config.wire
+      (Wire.Obj [ ("id", Wire.Int rid); ("kind", Wire.String kind) ])
+  in
+  if not (send t sh ~rid ~deadline (Internal { deliver }) payload) then
+    deliver None
 
 let probe_deliver t (sh : shard) = function
   | Some w ->
@@ -501,32 +495,26 @@ let probe_deliver t (sh : shard) = function
       | Some gen -> mark_down t sh ~gen ~reason:"probe timeouts"
       | None -> ())
 
+(* One probe in flight per shard: [probe_rid] marks it until it is
+   taken back. *)
 let send_probe t (sh : shard) now =
-  let rid_opt =
-    Mutex.lock sh.lock;
-    let r =
-      if sh.conn <> None && sh.probe_rid = None then begin
-        let rid = next_rid t in
-        sh.probe_rid <- Some rid;
-        Some rid
-      end
-      else None
-    in
-    Mutex.unlock sh.lock;
-    r
+  Mutex.lock sh.lock;
+  let rid =
+    if sh.conn <> None && sh.probe_rid = None then Some (next_rid t) else None
   in
-  match rid_opt with
-  | None -> ()
-  | Some rid ->
-      send_internal t sh ~rid
+  if rid <> None then sh.probe_rid <- rid;
+  Mutex.unlock sh.lock;
+  Option.iter
+    (fun rid ->
+      ask t sh ~rid
         ~deadline:(now +. probe_deadline_s t)
-        ~deliver:(probe_deliver t sh)
-        (internal_request t ~rid "health")
+        ~deliver:(probe_deliver t sh) "health")
+    rid
 
 (* ------------------------------------------------------------------ *)
 (* Worker processes and connections *)
 
-let ensure_process t (sh : shard) ~initial =
+let ensure_process (sh : shard) ~initial =
   match sh.endpoint.spawn with
   | None -> ()
   | Some argv ->
@@ -553,12 +541,11 @@ let ensure_process t (sh : shard) ~initial =
           Log.warn
             ~fields:(shard_fields sh @ [ ("pid", Wire.Int pid) ])
             "shard restarted"
-        end;
-        ignore t
+        end
       end
 
 let attempt_connect t (sh : shard) ~initial =
-  ensure_process t sh ~initial;
+  ensure_process sh ~initial;
   (* The reader is spawned only after the binary upgrade (whose hello
      takes request id 0: [t.rid] starts at 1, so its reply can never
      collide with a pending request). *)
@@ -608,24 +595,17 @@ let supervisor_loop t =
     (* Expired pending entries: re-route requests, fail probes/fan-outs. *)
     Array.iter
       (fun (sh : shard) ->
-        let expired = ref [] in
         Mutex.lock sh.lock;
-        Hashtbl.iter
-          (fun rid (p, deadline) ->
-            if now > deadline then expired := (rid, p) :: !expired)
-          sh.pending;
-        List.iter
-          (fun (rid, p) ->
-            Hashtbl.remove sh.pending rid;
-            (match p with
-            | Routed _ -> Metrics.gauge_add sh.m_in_flight (-1.0)
-            | Internal _ -> ());
-            if sh.probe_rid = Some rid then sh.probe_rid <- None)
-          !expired;
+        let expired =
+          Hashtbl.fold
+            (fun rid (_, deadline) acc ->
+              if now > deadline then rid :: acc else acc)
+            sh.pending []
+          |> List.filter_map (take_locked sh)
+        in
         Mutex.unlock sh.lock;
         List.iter
-          (fun (_, p) ->
-            match p with
+          (function
             | Routed r ->
                 Log.warn
                   ~fields:
@@ -633,7 +613,7 @@ let supervisor_loop t =
                   "request timed out on shard";
                 redispatch t { r with r_retries = r.r_retries + 1 }
             | Internal i -> i.deliver None)
-          !expired)
+          expired)
       t.shards;
     (* Probes. *)
     if now >= !next_probe then begin
@@ -667,22 +647,14 @@ let router_stats t =
             ("stale", Wire.Int (Metrics.counter_value t.m_stale));
           ] );
       ( "shards",
-        Wire.List
-          (Array.to_list
-             (Array.map
-                (fun (sh : shard) ->
-                  Wire.Obj
-                    [
-                      ("shard", Wire.Int sh.index);
-                      ("endpoint", Wire.String (endpoint_string sh.endpoint));
-                      ("status", Wire.String (status_string sh.status));
-                      ( "in_flight",
-                        Wire.Int (int_of_float (Metrics.gauge_value sh.m_in_flight)) );
-                      ("routed", Wire.Int (Metrics.counter_value sh.m_routed));
-                      ("evicted", Wire.Int (Metrics.counter_value sh.m_evicted));
-                      ("restarts", Wire.Int (Metrics.counter_value sh.m_restarts));
-                    ])
-                t.shards)) );
+        shard_list t (fun (sh : shard) ->
+            [
+              ( "in_flight",
+                Wire.Int (int_of_float (Metrics.gauge_value sh.m_in_flight)) );
+              ("routed", Wire.Int (Metrics.counter_value sh.m_routed));
+              ("evicted", Wire.Int (Metrics.counter_value sh.m_evicted));
+              ("restarts", Wire.Int (Metrics.counter_value sh.m_restarts));
+            ]) );
     ]
 
 let int_at path w =
@@ -701,25 +673,13 @@ let handle_fanout t ~client env ~respond =
   let t0 = Clock.now_s () in
   let n_shards = Array.length t.shards in
   let results : Wire.t option array = Array.make n_shards None in
-  let finish_lock = Mutex.create () in
   let finalize () =
     let oks = Array.to_list results |> List.filter_map Fun.id in
     let per_shard extra =
-      Wire.List
-        (Array.to_list
-           (Array.map
-              (fun (sh : shard) ->
-                Wire.Obj
-                  ([
-                     ("shard", Wire.Int sh.index);
-                     ("endpoint", Wire.String (endpoint_string sh.endpoint));
-                     ("status", Wire.String (status_string sh.status));
-                   ]
-                  @
-                  match results.(sh.index) with
-                  | Some ok -> [ (extra, ok) ]
-                  | None -> []))
-              t.shards))
+      shard_list t (fun (sh : shard) ->
+          match results.(sh.index) with
+          | Some ok -> [ (extra, ok) ]
+          | None -> [])
     in
     let payload =
       match env.Proto.request with
@@ -771,38 +731,23 @@ let handle_fanout t ~client env ~respond =
     Metrics.observe t.m_latency (Clock.now_s () -. t0);
     leave t
   in
-  let sub_kind =
-    match env.Proto.request with
-    | Proto.Stats -> "stats"
-    | Proto.Health -> "health"
-    | _ -> "metrics"
-  in
   let targets =
     Array.to_list t.shards |> List.filter (fun (sh : shard) -> sh.conn <> None)
   in
   match targets with
   | [] -> finalize ()
   | _ ->
-      let remaining = ref (List.length targets) in
+      (* Each reply lands in its own slot; the last one to count down
+         finalizes. *)
+      let remaining = Atomic.make (List.length targets) in
       List.iter
         (fun (sh : shard) ->
-          let rid = next_rid t in
-          let deliver w_opt =
-            let last =
-              Mutex.lock finish_lock;
-              results.(sh.index) <-
-                Option.bind w_opt (Wire.member "ok");
-              decr remaining;
-              let last = !remaining = 0 in
-              Mutex.unlock finish_lock;
-              last
-            in
-            if last then finalize ()
-          in
-          send_internal t sh ~rid
+          ask t sh ~rid:(next_rid t)
             ~deadline:(t0 +. route_timeout_s t)
-            ~deliver
-            (internal_request t ~rid sub_kind))
+            ~deliver:(fun w_opt ->
+              results.(sh.index) <- Option.bind w_opt (Wire.member "ok");
+              if Atomic.fetch_and_add remaining (-1) = 1 then finalize ())
+            (Proto.kind_string env.Proto.request))
         targets
 
 (* ------------------------------------------------------------------ *)
@@ -821,20 +766,12 @@ let local_error ~client ~respond ~id code msg =
    otherwise (a transcode per request — the price of bridging a JSON
    client onto binary shards or vice versa). *)
 let route_parsed t ~client ~bytes w ~respond =
-  let id =
-    match Wire.member "id" w with
-    | Some ((Wire.Int _ | Wire.String _) as id) -> id
-    | _ -> Wire.Null
-  in
-  match Wire.member "id" w with
-  | Some ((Wire.Bool _ | Wire.Float _ | Wire.List _ | Wire.Obj _) as v) ->
-      (* Mirror [Proto.request_of_wire]'s envelope validation so a
-         bad id is rejected here, with the server's exact message —
+  match Proto.envelope_id w with
+  | Error msg ->
+      (* A bad id is rejected here, by the server's own rule and message:
          a forwarded bad id would come back unmatchable. *)
-      local_error ~client ~respond ~id:Wire.Null Proto.Invalid_request
-        (Printf.sprintf "field %S: expected %s, got %s" "id"
-           "an integer or string" (Wire.kind_name v))
-  | _ -> (
+      local_error ~client ~respond ~id:Wire.Null Proto.Invalid_request msg
+  | Ok id -> (
       match Wire.member "kind" w with
       | Some (Wire.String "hello") ->
           (* Transport negotiation never reaches a shard; past the first
@@ -849,7 +786,8 @@ let route_parsed t ~client ~bytes w ~respond =
           | Error msg ->
               local_error ~client ~respond ~id Proto.Invalid_request msg
           | Ok env -> handle_fanout t ~client env ~respond)
-      | _ ->
+      | kind ->
+          let kind = match kind with Some (Wire.String k) -> k | _ -> "?" in
           let ctx = Ctx.derive id in
           (* The root span context for this routed request, serialized as
              a traceparent into the forwarded frame. The shard serves
@@ -875,11 +813,6 @@ let route_parsed t ~client ~bytes w ~respond =
           in
           let id_bytes = Conn.encode t.config.wire id in
           let ctx_bytes = Conn.encode t.config.wire (Wire.String ctx) in
-          let kind =
-            match Wire.member "kind" w with
-            | Some (Wire.String k) -> k
-            | _ -> "?"
-          in
           enter t;
           Log.debug
             ~fields:[ ("ctx", Wire.String ctx); ("kind", Wire.String kind) ]
@@ -1011,7 +944,7 @@ let create ?(config = default_config) ~endpoints () =
           "rvu_router_request_seconds";
     }
   in
-  Array.iter (fun (sh : shard) -> ensure_process t sh ~initial:true) t.shards;
+  Array.iter (fun (sh : shard) -> ensure_process sh ~initial:true) t.shards;
   let deadline = Clock.now_s () +. (config.connect_timeout_ms /. 1000.0) in
   let rec wait () =
     Array.iter

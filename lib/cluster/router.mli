@@ -29,7 +29,10 @@
     Router-side observability lands in the process registry as
     [rvu_router_*]: per-shard in-flight gauges and routed/evicted/restart
     counters, cluster-wide retried/shed/fanout/stale counters, and an
-    end-to-end routing latency histogram. *)
+    end-to-end latency histogram, [rvu_router_request_seconds], observed
+    once per answer. A routed or shed request is observed under its own
+    context, so with tracing on each bucket's exemplar names the trace of
+    a request that landed there. *)
 
 type endpoint = {
   host : string;
@@ -45,8 +48,10 @@ type config = {
   probe_interval_ms : float;  (** health-probe period per shard *)
   restart_backoff_ms : float;  (** delay before reconnect/respawn *)
   route_timeout_ms : float;
-      (** per-request budget on one shard before the router re-routes it
-          (also the fan-out collection budget) *)
+      (** per-dispatch budget on one shard before the router re-routes
+          the request: each attempt, retries included, gets the whole
+          budget from its own dispatch (also the fan-out collection
+          budget) *)
   max_retries : int;  (** re-route attempts before shedding *)
   max_request_bytes : int;
       (** client lines longer than this (less a small envelope headroom)

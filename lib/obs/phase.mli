@@ -9,13 +9,12 @@
     - [realize] — trajectory realization inside the engine
     - [detect] — rendezvous detection inside the engine
     - [encode] — response rendering on the worker
-    - [forward] — router dispatch to shard response (the routing hop)
 
     Phases are attribution, not a partition: [detect] contains
-    [realize], and [forward] contains a whole shard-side serve — summing
-    phases does not reproduce end-to-end latency. Handles are memoized
-    per label, so an observation site costs a hash lookup, not a
-    registry registration. Observations attach exemplars like any other
+    [realize] — summing phases does not reproduce end-to-end latency.
+    The router's hop is timed by its own [rvu_router_request_seconds].
+    Handles are memoized per label, so an observation site costs a hash
+    lookup, not a registry registration. Observations attach exemplars like any other
     registry histogram (see {!Metrics.observe}). *)
 
 val seconds : string -> Metrics.histogram

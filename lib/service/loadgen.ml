@@ -2,7 +2,6 @@ open Rvu_core
 
 type t = {
   lock : Mutex.t;
-  all_done : Condition.t;
   n : int;
   lines : string array;
   sent : float array;
@@ -15,6 +14,8 @@ type t = {
   mutable other_errors : int;
   mutable t_start : float;
   mutable t_last : float;
+  mutable wakers : Unix.file_descr list;
+      (* write ends of the pipes the running {!wait}s block on *)
 }
 
 let now = Rvu_obs.Clock.now_s
@@ -172,7 +173,6 @@ let create ?(seed = 0) ?lines ?slow_ms ?zipf ~requests () =
   in
   {
     lock = Mutex.create ();
-    all_done = Condition.create ();
     n = requests;
     lines;
     sent = Array.make requests 0.0;
@@ -185,6 +185,7 @@ let create ?(seed = 0) ?lines ?slow_ms ?zipf ~requests () =
     other_errors = 0;
     t_start = 0.0;
     t_last = 0.0;
+    wakers = [];
   }
 
 let drive ?(rate = 0.0) ~send t =
@@ -255,25 +256,35 @@ let note_response t line =
           t.other_errors <- t.other_errors + 1;
           t.completed <- t.completed + 1));
   t.t_last <- arrived;
-  if t.completed >= t.n then Condition.broadcast t.all_done;
+  (* One byte per waker, once: [completed] reaches [n] exactly once. *)
+  if t.completed = t.n then
+    List.iter
+      (fun w -> ignore (Unix.single_write_substring w "!" 0 1))
+      t.wakers;
   Mutex.unlock t.lock
 
+(* The stdlib has no timed condition wait, so [wait] blocks in [select]
+   on a pipe of its own, bounded by the time left; [note_response] writes
+   to every registered pipe when the last response lands. The pipe is
+   registered before completion is first checked, so a wake-up cannot
+   fall between the check and the [select]. *)
 let wait ?(timeout_s = 120.0) t =
   let deadline = now () +. timeout_s in
+  let r, w = Unix.pipe ~cloexec:true () in
   Mutex.lock t.lock;
-  let rec loop () =
-    if t.completed >= t.n then true
-    else if now () >= deadline then false
-    else begin
-      (* Condition has no timed wait in the stdlib; poll coarsely. *)
-      Mutex.unlock t.lock;
-      Unix.sleepf 0.02;
-      Mutex.lock t.lock;
-      loop ()
-    end
-  in
-  let complete = loop () in
+  t.wakers <- w :: t.wakers;
+  while t.completed < t.n && now () < deadline do
+    Mutex.unlock t.lock;
+    (* A negative timeout would block without bound. *)
+    (try ignore (Unix.select [ r ] [] [] (Float.max 0.0 (deadline -. now ())))
+     with Unix.Unix_error (Unix.EINTR, _, _) -> ());
+    Mutex.lock t.lock
+  done;
+  let complete = t.completed >= t.n in
+  t.wakers <- List.filter (( <> ) w) t.wakers;
   Mutex.unlock t.lock;
+  Unix.close r;
+  Unix.close w;
   complete
 
 (* ------------------------------------------------------------------ *)

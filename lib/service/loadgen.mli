@@ -54,7 +54,9 @@ val note_response : t -> string -> unit
 
 val wait : ?timeout_s:float -> t -> bool
 (** Block until every request has a response ([true]) or the timeout
-    (default [120.]) elapses ([false] — some responses never arrived). *)
+    (default [120.]) elapses ([false] — some responses never arrived).
+    It returns as soon as the last response is noted, with no polling
+    period. *)
 
 type summary = {
   requests : int;

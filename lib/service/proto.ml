@@ -153,16 +153,20 @@ let body_of_wire w kind =
                f))
   | k -> Error (Printf.sprintf "unknown request kind %S" k)
 
+let valid_id = function
+  | Wire.Null | Wire.Int _ | Wire.String _ -> true
+  | _ -> false
+
+let envelope_id w =
+  match Wire.member "id" w with
+  | None -> Ok Wire.Null
+  | Some v when valid_id v -> Ok v
+  | Some v -> typed "id" "an integer or string" v
+
 let request_of_wire w =
   match w with
   | Wire.Obj _ ->
-      let* id =
-        match Wire.member "id" w with
-        | None -> Ok Wire.Null
-        | Some (Wire.Null | Wire.Int _ | Wire.String _) as v ->
-            Ok (Option.get v)
-        | Some v -> typed "id" "an integer or string" v
-      in
+      let* id = envelope_id w in
       let* timeout_ms =
         match Wire.member "timeout_ms" w with
         | None | Some Wire.Null -> Ok None

@@ -105,6 +105,16 @@ type envelope = {
   request : request;
 }
 
+val valid_id : Wire.t -> bool
+(** Whether a value may stand as an envelope ["id"]: [Null], [Int] or
+    [String]. *)
+
+val envelope_id : Wire.t -> (Wire.t, string) result
+(** The ["id"] member of a request object, [Null] when absent, or the
+    error {!request_of_wire} answers for an id of any other shape: the
+    one id rule, so every front end accepts and rejects the same ids with
+    the same message. *)
+
 val request_of_wire : Wire.t -> (envelope, string) result
 (** Decode a parsed request line. [Error] messages name the offending
     field and the type found, e.g.

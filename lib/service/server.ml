@@ -422,11 +422,7 @@ let handle_env ?fill ~wire t env ~respond =
 let handle_wire ?fill ~wire t w ~respond =
   match Proto.request_of_wire w with
   | Error msg ->
-      let id =
-        match Wire.member "id" w with
-        | Some ((Wire.Int _ | Wire.String _) as id) -> id
-        | _ -> Wire.Null
-      in
+      let id = Result.value (Proto.envelope_id w) ~default:Wire.Null in
       let ctx = Rvu_obs.Ctx.derive id in
       Rvu_obs.Ctx.with_ctx { cid = ctx; span = None } (fun () ->
           count t `Error;
@@ -462,9 +458,9 @@ let handle_slow ?fill ~wire t bytes ~respond =
 
 (* The excised id and trace of a frame-cache hit, read as the slow path
    would read them: [None] when the slow path would reject either (it
-   then answers the request itself, with the exact error). An id must be
-   null, an integer or a string; a trace of any other shape than a
-   string is valid and ignored. *)
+   then answers the request itself, with the exact error). An id must
+   pass {!Proto.valid_id}; a trace of any other shape than a string is
+   valid and ignored. *)
 let excised ~wire bytes (scan : Envelope.scan) =
   let value ((start, stop) as span) =
     match wire with
@@ -478,7 +474,7 @@ let excised ~wire bytes (scan : Envelope.scan) =
     | None -> Some Wire.Null
     | Some span -> value span
   with
-  | Some ((Wire.Null | Wire.Int _ | Wire.String _) as id) -> (
+  | Some id when Proto.valid_id id -> (
       match scan.Envelope.trace_value with
       | None -> Some (id, None)
       | Some span -> (

@@ -157,7 +157,7 @@ let test_frame_response_splice () =
       check_string "only the id and ctx bytes change"
         {|{"id":"cli","ctx":"req-cli","ok":{"t":129.42477041723}}|}
         (Frame.splice_response line ~id_span ~ctx_span ~id:{|"cli"|}
-           ~ctx:(Some {|"req-cli"|}))
+           ~ctx:{|"req-cli"|})
 
 let test_frame_response_without_ctx () =
   (* Our workers always print ctx, but the splicer must not depend on
@@ -171,7 +171,7 @@ let test_frame_response_without_ctx () =
       check_string "ctx inserted"
         {|{"id":9,"ctx":"req-9","ok":{"n":1}}|}
         (Frame.splice_response line ~id_span ~ctx_span ~id:"9"
-           ~ctx:(Some {|"req-9"|}))
+           ~ctx:{|"req-9"|})
 
 let test_frame_salvaged_null_id_falls_back () =
   (* A worker that salvaged a null id is not the fast-path shape; the
@@ -181,6 +181,194 @@ let test_frame_salvaged_null_id_falls_back () =
     = None);
   check_bool "a non-object is not the fast path" true
     (Frame.response_spans "[1,2]" = None)
+
+(* Frame properties. The router splices by byte offset, so a mis-scan
+   would hand one client another client's answer: over shard replies the
+   server's own renderers produce on both codecs, the scans find exactly
+   the id and ctx spans and the splice equals the direct render under the
+   client's id and ctx; over damaged bytes no scan raises or returns a
+   span out of bounds or out of order. *)
+
+module Wb = Rvu_service.Wire_bin
+module Conn = Rvu_service.Conn
+module Payload = Rvu_service.Payload
+module Envelope = Rvu_service.Envelope
+
+(* Strings with escapes, control bytes and multi-byte UTF-8. *)
+let awkward_string_gen =
+  QCheck.Gen.(
+    map (String.concat "")
+      (list_size (int_bound 6)
+         (oneofl
+            [ "a"; "7"; "req-"; "\""; "\\"; "/"; "\n"; "\t"; "\x01"; "\x7f";
+              "\xc3\xa9"; "\xe6\x97\xa5"; "\xf0\x9f\x98\x80" ])))
+
+let client_id_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (2, map (fun i -> Wire.Int i) int);
+        (2, map (fun s -> Wire.String s) awkward_string_gen);
+        (1, return Wire.Null);
+      ])
+
+type reply = {
+  wire : Wb.mode;
+  rid : int;  (** the router's id, as the shard echoes it *)
+  shard_ctx : string;
+  id : Wire.t;  (** the client's id *)
+  ctx : string;  (** the client's ctx *)
+  body : (Wire.t, Proto.error_code * string) result;
+}
+
+let reply_gen =
+  let open QCheck.Gen in
+  let+ wire = oneofl [ Wb.Json; Wb.Binary ]
+  and+ rid = map (fun i -> i land max_int) int
+  and+ shard_ctx = awkward_string_gen
+  and+ id = client_id_gen
+  and+ ctx = awkward_string_gen
+  and+ body =
+    frequency
+      [
+        (3, map Result.ok Gen.wire_gen);
+        ( 1,
+          map2
+            (fun code msg -> Error (code, msg))
+            (oneofl
+               Proto.
+                 [ Parse_error; Invalid_request; Overloaded; Timeout; Internal ])
+            awkward_string_gen );
+      ]
+  in
+  { wire; rid; shard_ctx; id; ctx; body }
+
+(* A reply as the server renders it: an ok body through the payload
+   splice, an error through the protocol's error envelope. *)
+let render wire ~ctx ~id = function
+  | Ok body ->
+      (match wire with Wb.Json -> Payload.ok_json | Wb.Binary -> Payload.ok_bin)
+        (Payload.of_wire body) ~ctx ~id
+  | Error (code, msg) ->
+      Conn.encode wire (Proto.error_response ~ctx ~id code msg)
+
+let print_reply r =
+  String.escaped (render r.wire ~ctx:r.shard_ctx ~id:(Wire.Int r.rid) r.body)
+  ^ " -> id " ^ Wire.print r.id ^ ", ctx " ^ Wire.print (Wire.String r.ctx)
+
+let prop_splice_equals_direct =
+  QCheck.Test.make ~count:1000
+    ~name:"scans find the id and ctx spans; splice = direct render"
+    (QCheck.make ~print:print_reply reply_gen)
+    (fun r ->
+      let shard = render r.wire ~ctx:r.shard_ctx ~id:(Wire.Int r.rid) r.body in
+      let direct = render r.wire ~ctx:r.ctx ~id:r.id r.body in
+      let id = Conn.encode r.wire r.id
+      and ctx = Conn.encode r.wire (Wire.String r.ctx) in
+      let spans_exact rid (is, ie) (cs, ce) =
+        rid = r.rid
+        && String.sub shard is (ie - is) = Conn.encode r.wire (Wire.Int r.rid)
+        && String.sub shard cs (ce - cs)
+           = Conn.encode r.wire (Wire.String r.shard_ctx)
+      in
+      match r.wire with
+      | Wb.Json -> (
+          match Frame.response_spans shard with
+          | Some (rid, id_span, (Some c as ctx_span)) ->
+              spans_exact rid id_span c
+              && Frame.splice_response shard ~id_span ~ctx_span ~id ~ctx
+                 = direct
+          | _ -> false)
+      | Wb.Binary -> (
+          match Frame.bin_response_spans shard with
+          | Some (rid, id_span, ctx_span) ->
+              spans_exact rid id_span ctx_span
+              && Frame.bin_splice_response shard ~id_span ~ctx_span ~id ~ctx
+                 = direct
+          | None -> false))
+
+(* A request carrying every envelope member the scan reports. *)
+let request_gen =
+  let open QCheck.Gen in
+  let+ wire = oneofl [ Wb.Json; Wb.Binary ]
+  and+ id = client_id_gen
+  and+ trace = awkward_string_gen
+  and+ body = Gen.wire_gen in
+  Conn.encode wire
+    (Wire.Obj
+       [
+         ("id", id);
+         ("kind", Wire.String "simulate");
+         ("trace", Wire.String trace);
+         ("timeout_ms", Wire.Float 5.0);
+         ("body", body);
+       ])
+
+type damage = Truncate of int | Flip of int * int | Insert of int * string
+
+let damage_gen =
+  QCheck.Gen.(
+    oneof
+      [
+        map (fun i -> Truncate i) nat;
+        map2 (fun i b -> Flip (i, b)) nat (int_bound 255);
+        map2 (fun i s -> Insert (i, s)) nat
+          (oneof [ awkward_string_gen; string_size (int_bound 4) ]);
+      ])
+
+let apply s = function
+  | Truncate i -> String.sub s 0 (i mod (String.length s + 1))
+  | Flip (_, _) when s = "" -> s
+  | Flip (i, b) ->
+      let bytes = Bytes.of_string s in
+      let i = i mod Bytes.length bytes in
+      let c = Char.code (Bytes.get bytes i) lxor (b lor 1) in
+      Bytes.set bytes i (Char.chr c);
+      Bytes.to_string bytes
+  | Insert (i, ins) ->
+      let i = i mod (String.length s + 1) in
+      String.sub s 0 i ^ ins ^ String.sub s i (String.length s - i)
+
+let damaged_gen =
+  let open QCheck.Gen in
+  let+ base =
+    oneof
+      [
+        map
+          (fun r -> render r.wire ~ctx:r.shard_ctx ~id:(Wire.Int r.rid) r.body)
+          reply_gen;
+        request_gen;
+      ]
+  and+ damage = list_size (int_range 1 3) damage_gen in
+  List.fold_left apply base damage
+
+let prop_scans_total =
+  QCheck.Test.make ~count:2000
+    ~name:"scans of damaged bytes never raise; spans in bounds, ordered"
+    (QCheck.make ~print:String.escaped damaged_gen)
+    (fun s ->
+      let n = String.length s in
+      let rec ordered pos = function
+        | [] -> true
+        | (a, b) :: rest -> pos <= a && a <= b && b <= n && ordered b rest
+      in
+      let envelope = function
+        | None -> true
+        | Some (e : Envelope.scan) ->
+            ordered 0
+              (List.sort compare
+                 (List.filter_map Fun.id
+                    [ e.id_value; e.trace_value; e.timeout_value ]))
+      in
+      (match Frame.response_spans s with
+      | None -> true
+      | Some (_, id_span, ctx_span) ->
+          ordered 0 (id_span :: Option.to_list ctx_span))
+      && (match Frame.bin_response_spans s with
+         | None -> true
+         | Some (_, id_span, ctx_span) -> ordered 0 [ id_span; ctx_span ])
+      && envelope (Envelope.json s)
+      && envelope (Envelope.binary s))
 
 (* ------------------------------------------------------------------ *)
 (* Merge: the reconciliation property on synthetic three-shard payloads *)
@@ -869,6 +1057,141 @@ let test_router_unscannable_reply () =
   check_string "binary client" (encode answer)
     (Router.handle_payload_sync router (encode request))
 
+(* Every pairing of client and shard codecs the unit tests above leave
+   out: a JSON client on binary shards and a binary client on JSON shards,
+   cold then warm. Each answer is byte-identical to a direct server's in
+   the client's codec. The mix is a simulate, a bound with a string id, a
+   schedule, a model run, a search, an unknown kind and a feasibility
+   request without an id, whose ctx is generated: the ctx sequence is
+   reseeded before each answer. *)
+let test_router_codec_matrix () =
+  let docs =
+    Proto.
+      [
+        Result.get_ok (Wire.parse (simulate_line ~id:1 1.0));
+        wire_of_request ~id:(Wire.String "b-1")
+          (Bound { attrs = Attributes.make ~tau:0.7 (); d = 8.0; r = 0.1 });
+        wire_of_request ~id:(Wire.Int 3) (Schedule 3);
+        wire_of_request ~id:(Wire.Int 4)
+          (Model_run
+             {
+               model = Rvu_model.Cycle_speed.name;
+               instance = Rvu_model.Cycle_speed.(instance default);
+             });
+        wire_of_request ~id:(Wire.Int 5)
+          (Search { d = 4.0; bearing = 0.9; r = 0.5; horizon = 1e7 });
+        Wire.Obj [ ("id", Wire.Int 6); ("kind", Wire.String "no-such-kind") ];
+        wire_of_request (Feasibility (Attributes.make ~v:2.0 ()));
+      ]
+  in
+  let reference = Server.create ~config:worker_config () in
+  Fun.protect ~finally:(fun () -> Server.stop reference) @@ fun () ->
+  List.iter
+    (fun (shards, client, ports) ->
+      let workers = List.map spawn_worker ports in
+      let config =
+        {
+          Router.default_config with
+          probe_interval_ms = 100.;
+          connect_timeout_ms = 5000.;
+          wire = shards;
+        }
+      in
+      let router =
+        Router.create ~config ~endpoints:(List.map endpoint ports) ()
+      in
+      Fun.protect
+        ~finally:(fun () ->
+          Router.stop router;
+          stop_workers workers)
+      @@ fun () ->
+      let direct, routed =
+        match client with
+        | Wb.Json -> (Server.handle_sync, Router.handle_sync)
+        | Wb.Binary -> (Server.handle_payload_sync, Router.handle_payload_sync)
+      in
+      for pass = 1 to 2 do
+        List.iter
+          (fun doc ->
+            let record = Conn.encode client doc in
+            Rvu_obs.Ctx.set_seed 0;
+            let expected = direct reference record in
+            Rvu_obs.Ctx.set_seed 0;
+            check_string
+              (Printf.sprintf "%s client on %s shards, pass %d: %s"
+                 (Wb.mode_string client) (Wb.mode_string shards) pass
+                 (Wire.print doc))
+              expected (routed router record))
+          docs
+      done)
+    [
+      (Wb.Binary, Wb.Json, [ 7565; 7566 ]); (Wb.Json, Wb.Binary, [ 7567; 7568 ]);
+    ]
+
+(* A retry after a route timeout gets the whole route timeout again, not
+   what is left of the first attempt's. The stand-in shard answers health
+   probes and swallows everything else, so with one shard the request
+   times out on its dispatch and on both retries (the ring re-picks the
+   shard, which stays ready) before it is shed: no sooner than three
+   timeouts after it was sent. *)
+let test_router_retry_gets_route_timeout () =
+  let port = 7564 in
+  let sock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Unix.setsockopt sock Unix.SO_REUSEADDR true;
+  Unix.bind sock (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
+  Unix.listen sock 1;
+  let shard =
+    Domain.spawn (fun () ->
+        let fd, _ = Unix.accept sock in
+        let ic = Unix.in_channel_of_descr fd
+        and oc = Unix.out_channel_of_descr fd in
+        (try
+           while true do
+             match Result.to_option (Wire.parse (input_line ic)) with
+             | Some w when Wire.member "kind" w = Some (Wire.String "health")
+               ->
+                 Printf.fprintf oc
+                   "{\"id\":%s,\"ctx\":\"shard\",\"ok\":{\"status\":\"ready\"}}\n%!"
+                   (Wire.print (Option.get (Wire.member "id" w)))
+             | _ -> ()
+           done
+         with End_of_file | Sys_error _ -> ());
+        Unix.close fd;
+        Unix.close sock)
+  in
+  let config =
+    {
+      Router.default_config with
+      route_timeout_ms = 300.;
+      max_retries = 2;
+      connect_timeout_ms = 5000.;
+    }
+  in
+  let router = Router.create ~config ~endpoints:[ endpoint port ] () in
+  Fun.protect
+    ~finally:(fun () ->
+      Router.stop router;
+      Domain.join shard)
+  @@ fun () ->
+  let t0 = Rvu_obs.Clock.now_s () in
+  let answer =
+    Router.handle_sync router {|{"id":5,"kind":"schedule","rounds":2}|}
+  in
+  let waited = Rvu_obs.Clock.now_s () -. t0 in
+  check_string "shed once the retries run out"
+    {|{"id":5,"ctx":"req-5","error":{"code":"overloaded","message":"shard retries exhausted"}}|}
+    answer;
+  check_bool
+    (Printf.sprintf "three route timeouts before the shed (%.2f s)" waited)
+    true (waited >= 0.85);
+  match Wire.parse (Router.handle_sync router {|{"id":6,"kind":"stats"}|}) with
+  | Error e -> Alcotest.fail (Wire.error_to_string e)
+  | Ok w ->
+      let ok = Option.get (Wire.member "ok" w) in
+      check_int "retried twice" 2
+        (int_at [ "router"; "requests"; "retried" ] ok);
+      check_int "shed once" 1 (int_at [ "router"; "requests"; "shed" ] ok)
+
 (* ------------------------------------------------------------------ *)
 
 let () =
@@ -895,7 +1218,11 @@ let () =
             test_frame_response_without_ctx;
           Alcotest.test_case "salvaged null id falls back" `Quick
             test_frame_salvaged_null_id_falls_back;
-        ] );
+        ]
+        @ List.map
+            (QCheck_alcotest.to_alcotest
+               ~rand:(Random.State.make [| 0x25; 0x5b1c |]))
+            [ prop_splice_equals_direct; prop_scans_total ] );
       ( "merge",
         [
           Alcotest.test_case "summed counters reconcile" `Quick
@@ -925,5 +1252,9 @@ let () =
             test_router_binary_bit_identity;
           Alcotest.test_case "unscannable shard reply falls back" `Quick
             test_router_unscannable_reply;
+          Alcotest.test_case "mixed client and shard codecs" `Quick
+            test_router_codec_matrix;
+          Alcotest.test_case "a retry gets the whole route timeout" `Quick
+            test_router_retry_gets_route_timeout;
         ] );
     ]

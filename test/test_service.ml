@@ -598,6 +598,29 @@ let test_loadgen_summary () =
   check_bool "one arrival summarized" true
     (Float.is_finite s.p50_ms && s.p50_ms = s.max_ms && s.mean_ms = s.max_ms)
 
+(* [wait] returns when the last response lands, not on a polling tick: a
+   response noted from another domain about 5 ms after [wait] starts
+   returns it within 15 ms. *)
+let test_loadgen_wait_wakes () =
+  let module Loadgen = Rvu_service.Loadgen in
+  let lg =
+    Loadgen.create ~lines:[| {|{"id":1,"kind":"health"}|} |] ~requests:1 ()
+  in
+  Loadgen.drive lg ~send:ignore;
+  let responder =
+    Domain.spawn (fun () ->
+        Unix.sleepf 0.005;
+        Loadgen.note_response lg {|{"id":1,"ok":{}}|})
+  in
+  let t0 = Rvu_obs.Clock.now_s () in
+  let complete = Loadgen.wait ~timeout_s:5.0 lg in
+  let waited = Rvu_obs.Clock.now_s () -. t0 in
+  Domain.join responder;
+  check_bool "the response was noted" true complete;
+  check_bool
+    (Printf.sprintf "wait returned %.1f ms after it started" (waited *. 1e3))
+    true (waited < 0.015)
+
 let test_server_cache_hits () =
   let config =
     { Server.default_config with Server.jobs = 1; queue_depth = 8; cache_entries = 8; timeout_ms = None }
@@ -1771,6 +1794,8 @@ let () =
           Alcotest.test_case "health probe" `Quick test_server_health_probe;
           Alcotest.test_case "loadgen counts and summaries" `Quick
             test_loadgen_summary;
+          Alcotest.test_case "loadgen wait wakes on the last response" `Quick
+            test_loadgen_wait_wakes;
         ] );
       ( "binary path",
         [
