@@ -1355,9 +1355,10 @@ let router_cmd =
       value & opt positive_int 30000
       & info [ "route-timeout-ms" ] ~docv:"MS"
           ~doc:
-            "Budget for one shard to answer a routed request before the \
-             router re-routes it to a surviving shard (after the retry \
-             budget it is shed with an $(i,overloaded) error).")
+            "Budget for one shard to answer a routed request. Past it the \
+             router sends the request again, to a shard picked afresh from \
+             the ready ones, which may be the shard that timed out; after \
+             the retry budget it is shed with an $(i,overloaded) error.")
   in
   let wire =
     wire_arg

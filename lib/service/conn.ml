@@ -17,34 +17,167 @@ let too_large mode bytes ~limit =
     (match mode with Wire_bin.Json -> "line" | Wire_bin.Binary -> "frame")
     bytes limit
 
-let write mode oc record =
-  (match mode with
+(* One record, left in the channel's buffer. *)
+let output_record mode oc record =
+  match mode with
   | Wire_bin.Json ->
       output_string oc record;
       output_char oc '\n'
-  | Wire_bin.Binary -> Wire_bin.output_frame oc record);
+  | Wire_bin.Binary -> Wire_bin.output_frame oc record
+
+let write mode oc record =
+  output_record mode oc record;
   flush oc
 
+(* ------------------------------------------------------------------ *)
+(* The record reader *)
+
+(* A connection's input, cut into records. The reader owns a byte buffer
+   that [input] refills — at most one read(2), made only when the
+   channel's own buffer is empty — and cuts lines or frames out of it, a
+   record at a time and across refills, so the mode can change between
+   two records of one refill. [idle true] runs just before each refill,
+   which may block, and [idle false] once one has brought bytes. *)
+type reader = {
+  ic : in_channel;
+  max_bytes : int;
+  cap : int;  (* the largest the buffer grows: a whole frame and a byte *)
+  idle : bool -> unit;
+  mutable buf : Bytes.t;
+  mutable pos : int;  (* the first byte not yet cut into a record *)
+  mutable lim : int;  (* the end of the bytes read; [buf] holds one more *)
+  mutable scan : int;  (* no newline in [pos, scan) *)
+}
+
+(* A record past [max_bytes], with its length: a line, skipped to its
+   newline, or a frame, whose payload is left unread. *)
+exception Oversized of int
+
+(* End of input inside a frame. *)
+exception Truncated
+
+let reader ?(idle = ignore) ~max_bytes ic =
+  let cap =
+    if max_bytes > Sys.max_string_length - 5 then Sys.max_string_length
+    else max_bytes + 5
+  in
+  {
+    ic;
+    max_bytes;
+    cap;
+    idle;
+    buf = Bytes.create (min 4096 cap);
+    pos = 0;
+    lim = 0;
+    scan = 0;
+  }
+
+(* Read more after [lim], first moving the unread bytes to the front and
+   doubling a buffer they fill. [false] at end of input. *)
+let refill r =
+  if r.pos > 0 then begin
+    Bytes.blit r.buf r.pos r.buf 0 (r.lim - r.pos);
+    r.lim <- r.lim - r.pos;
+    r.scan <- r.scan - r.pos;
+    r.pos <- 0
+  end;
+  if r.lim + 1 >= Bytes.length r.buf then begin
+    let b = Bytes.create (min r.cap (2 * Bytes.length r.buf)) in
+    Bytes.blit r.buf 0 b 0 r.lim;
+    r.buf <- b
+  end;
+  r.idle true;
+  let n = input r.ic r.buf r.lim (Bytes.length r.buf - 1 - r.lim) in
+  r.lim <- r.lim + n;
+  if n > 0 then r.idle false;
+  n > 0
+
+(* The first newline at or after [i], or [lim] when there is none: the
+   byte past the data is a newline sentinel. *)
+let newline r i =
+  Bytes.unsafe_set r.buf r.lim '\n';
+  let i = ref i in
+  while Bytes.unsafe_get r.buf !i <> '\n' do
+    incr i
+  done;
+  !i
+
+let consume r next =
+  r.pos <- next;
+  r.scan <- next
+
+let cut r stop next =
+  let s = Bytes.sub_string r.buf r.pos (stop - r.pos) in
+  consume r next;
+  s
+
+(* The next line, without its newline; a last line that ends at end of
+   input counts. A line longer than [max_bytes] is not kept: its bytes
+   are counted up to its newline, and it raises [Oversized]. *)
+let rec line r =
+  let i = newline r r.scan in
+  if i < r.lim then begin
+    let n = i - r.pos in
+    if n > r.max_bytes then begin
+      consume r (i + 1);
+      raise (Oversized n)
+    end;
+    cut r i (i + 1)
+  end
+  else begin
+    r.scan <- r.lim;
+    if r.lim - r.pos > r.max_bytes then skip r (r.lim - r.pos)
+    else if refill r then line r
+    else if r.lim > r.pos then cut r r.lim r.lim
+    else raise End_of_file
+  end
+
+and skip r n =
+  r.pos <- 0;
+  r.lim <- 0;
+  r.scan <- 0;
+  if not (refill r) then raise (Oversized n);
+  let i = newline r 0 in
+  if i < r.lim then begin
+    consume r (i + 1);
+    raise (Oversized (n + i))
+  end
+  else skip r (n + r.lim)
+
+(* At least [n] bytes buffered from [pos]; [false] if input ends first. *)
+let rec holds r n = r.lim - r.pos >= n || (refill r && holds r n)
+
+let frame r =
+  if not (holds r 4) then
+    raise (if r.lim > r.pos then Truncated else End_of_file);
+  let b = r.buf and p = r.pos in
+  let len =
+    (Char.code (Bytes.get b p) lsl 24)
+    lor (Char.code (Bytes.get b (p + 1)) lsl 16)
+    lor (Char.code (Bytes.get b (p + 2)) lsl 8)
+    lor Char.code (Bytes.get b (p + 3))
+  in
+  if len > r.max_bytes then raise (Oversized len);
+  if not (holds r (4 + len)) then raise Truncated;
+  let stop = r.pos + 4 + len in
+  r.pos <- r.pos + 4;
+  cut r stop stop
+
 let read_records ?max_bytes mode ic f =
-  match mode with
-  | Wire_bin.Json ->
-      let rec lines () =
-        match input_line ic with
-        | exception End_of_file -> ()
-        | line ->
-            f line;
-            lines ()
-      in
-      lines ()
-  | Wire_bin.Binary ->
-      let rec frames () =
-        match Wire_bin.input_frame ?max_bytes ic with
-        | Wire_bin.Frame payload ->
-            f payload;
-            frames ()
-        | Wire_bin.Eof | Wire_bin.Truncated | Wire_bin.Oversized _ -> ()
-      in
-      frames ()
+  let r, next =
+    match mode with
+    | Wire_bin.Json -> (reader ~max_bytes:max_int ic, line)
+    | Wire_bin.Binary ->
+        (reader ~max_bytes:(Option.value max_bytes ~default:max_int) ic, frame)
+  in
+  let rec records () =
+    match next r with
+    | record ->
+        f record;
+        records ()
+    | exception (End_of_file | Truncated | Oversized _) -> ()
+  in
+  records ()
 
 (* ------------------------------------------------------------------ *)
 (* Sessions *)
@@ -63,6 +196,18 @@ let hello line =
 let serve ?(wire = Wire_bin.Json) ?on_hello ?on_oversized ~max_bytes
     ~handle_line ~handle_payload ~wait_idle ic oc =
   let lock = Mutex.create () in
+  (* Under [lock]: whether the session is dispatching records it already
+     holds. Their answers stay in [oc] until the session flushes, just
+     before a read that may block or at its end; an answer written while
+     it waits for input (a pool worker's, a shard reader's) is flushed at
+     once. *)
+  let dispatching = ref false in
+  let idle waiting =
+    Mutex.lock lock;
+    dispatching := not waiting;
+    (if waiting then try flush oc with _ -> ());
+    Mutex.unlock lock
+  in
   (* A request is answered in the mode it arrived in. The mode flips only
      after a first-record hello has been answered, with nothing
      outstanding, so every answer goes out in the connection's mode. *)
@@ -72,16 +217,31 @@ let serve ?(wire = Wire_bin.Json) ?on_hello ?on_oversized ~max_bytes
        (* Injected connection drop: the peer vanished between accept and
           response. The write path must swallow it like a real EPIPE. *)
        if Rvu_obs.Fault.fire fault_drop_conn then raise Exit;
-       write mode oc record
+       output_record mode oc record;
+       if not !dispatching then flush oc
      with _ -> () (* peer went away; keep serving the rest *));
     Mutex.unlock lock
   in
   let respond_line = respond Wire_bin.Json in
   let respond_frame = respond Wire_bin.Binary in
+  let r = reader ~idle ~max_bytes ic in
+  let refuse mode bytes =
+    let ctx = Rvu_obs.Ctx.generate () in
+    Rvu_obs.Ctx.with_ctx { cid = ctx; span = None } (fun () ->
+        respond mode
+          (encode mode
+             (Proto.error_response ~ctx ~id:Wire.Null Proto.Invalid_request
+                (too_large mode bytes ~limit:max_bytes)));
+        Option.iter (fun f -> f bytes) on_oversized)
+  in
   let rec lines ~first =
-    match input_line ic with
+    match line r with
+    | record -> line_record ~first record
     | exception End_of_file -> ()
-    | line -> line_record ~first line
+    | exception Oversized bytes ->
+        (* The line was skipped to its newline, where the next begins. *)
+        refuse Wire_bin.Json bytes;
+        lines ~first:false
   and line_record ~first line =
     if String.trim line = "" then lines ~first
     else
@@ -98,48 +258,39 @@ let serve ?(wire = Wire_bin.Json) ?on_hello ?on_oversized ~max_bytes
               Option.iter (fun f -> f ~t0) on_hello);
           match m with
           | Wire_bin.Json -> lines ~first:false
-          | Wire_bin.Binary -> frames None)
+          | Wire_bin.Binary -> frames ())
       | None ->
           handle_line line ~respond:respond_line;
           lines ~first:false
-  and frames first_byte =
-    match Wire_bin.input_frame ?first:first_byte ~max_bytes ic with
-    | Wire_bin.Frame payload ->
+  and frames () =
+    match frame r with
+    | payload ->
         handle_payload payload ~respond:respond_frame;
-        frames None
-    | Wire_bin.Eof -> ()
-    | Wire_bin.Truncated ->
+        frames ()
+    | exception End_of_file -> ()
+    | exception Truncated ->
         (* Nothing to answer (the record never arrived whole) and nothing
            to resync to. *)
         Rvu_obs.Log.warn "connection closed mid-frame"
-    | Wire_bin.Oversized bytes ->
-        let ctx = Rvu_obs.Ctx.generate () in
-        Rvu_obs.Ctx.with_ctx { cid = ctx; span = None } (fun () ->
-            respond_frame
-              (Wire_bin.encode
-                 (Proto.error_response ~ctx ~id:Wire.Null Proto.Invalid_request
-                    (too_large Wire_bin.Binary bytes ~limit:max_bytes)));
-            Option.iter (fun f -> f bytes) on_oversized)
+    | exception Oversized bytes ->
+        (* The payload was never read: the stream position is lost. *)
+        refuse Wire_bin.Binary bytes
   in
   Fun.protect
     ~finally:(fun () ->
-      wait_idle ();
-      try flush oc with _ -> ())
+      (* Flush, and let what is still running answer at once. *)
+      idle true;
+      wait_idle ())
     (fun () ->
       match wire with
       | Wire_bin.Json -> lines ~first:true
-      | Wire_bin.Binary -> (
+      | Wire_bin.Binary ->
           (* Pinned-binary start: a '{' first byte is a JSON client
              (typically a hello upgrade line); pinned peers start framing
              at byte zero and never hit this. *)
-          match input_char ic with
-          | exception End_of_file -> ()
-          | '{' ->
-              line_record ~first:true
-                (match input_line ic with
-                | rest -> "{" ^ rest
-                | exception End_of_file -> "{")
-          | c -> frames (Some c)))
+          if holds r 1 then
+            if Bytes.get r.buf r.pos = '{' then lines ~first:true
+            else frames ())
 
 (* ------------------------------------------------------------------ *)
 (* Listener *)
@@ -156,7 +307,10 @@ let listen ~name ~host ~port ?connections ~run session =
   (match Sys.os_type with
   | "Unix" -> Sys.set_signal Sys.sigpipe Sys.Signal_ignore
   | _ -> ());
-  let sock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  (* Close-on-exec, as every socket here: a process the front end spawns
+     (the router's workers) must not hold a client or shard connection
+     open past its owner's close. *)
+  let sock = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
   Unix.setsockopt sock Unix.SO_REUSEADDR true;
   Unix.bind sock (Unix.ADDR_INET (resolve host, port));
   Unix.listen sock 64;
@@ -178,7 +332,7 @@ let listen ~name ~host ~port ?connections ~run session =
   in
   let rec accept remaining =
     if remaining <> Some 0 then
-      match Unix.accept sock with
+      match Unix.accept ~cloexec:true sock with
       | exception Unix.Unix_error (Unix.EINTR, _, _) ->
           (* A signal landed on this thread; its handler decides. *)
           accept remaining
@@ -208,7 +362,9 @@ let upgraded c =
       | Error _ -> false)
 
 let connect ?timeout_s wire addr =
-  let fd = Unix.socket (Unix.domain_of_sockaddr addr) Unix.SOCK_STREAM 0 in
+  let fd =
+    Unix.socket ~cloexec:true (Unix.domain_of_sockaddr addr) Unix.SOCK_STREAM 0
+  in
   try
     Unix.connect fd addr;
     let ic = Unix.in_channel_of_descr fd in

@@ -27,12 +27,19 @@ val too_large : Wire_bin.mode -> int -> limit:int -> string
     the front ends' own. *)
 
 val write : Wire_bin.mode -> out_channel -> string -> unit
-(** Write one record (a line and its newline, or a frame) and flush. *)
+(** Write one record (a line and its newline, or a frame) and flush it:
+    the client side's send and the router's forward to a shard. A
+    session's own answers leave in batches instead ({!serve}). *)
 
 val read_records :
   ?max_bytes:int -> Wire_bin.mode -> in_channel -> (string -> unit) -> unit
 (** Call [f] on each record until the stream ends — at end of input, or
-    for frames at a truncated or oversized one. I/O errors propagate. *)
+    for frames at a truncated one or one whose length prefix exceeds
+    [max_bytes] (default: no limit). Lines are read whole, whatever their
+    length: they come from a peer the caller connected to. Records are
+    cut from one buffer per call, refilled with [input] (at most one
+    read(2), and only when the channel's own buffer is empty); I/O
+    errors propagate. *)
 
 val serve :
   ?wire:Wire_bin.mode ->
@@ -45,19 +52,30 @@ val serve :
   in_channel ->
   out_channel ->
   unit
-(** Serve one session until end of input, then [wait_idle] and flush.
+(** Serve one session until end of input, then flush and [wait_idle]
+    (answers that land meanwhile leave at once).
 
-    Each record goes to [handle_line] or [handle_payload] (blank lines are
-    skipped) with a [respond] that writes the answer in the record's own
-    mode, under the connection's output lock, flushed per record; a
-    failed write is swallowed, and so is one the [server.drop_conn] fault
-    site drops. A first-record hello is answered here, under its request
-    context, and then [on_hello ~t0] runs (the answer's start time). A
-    frame whose length prefix exceeds [max_bytes] is answered
-    [invalid_request] ([on_hello]'s analogue is [on_oversized bytes]) and
-    the connection closes: its payload was never read, so the stream
-    position is unknowable. A frame cut off by end of input closes the
-    connection with nothing to answer.
+    The session reads through one buffer of its own, refilled with
+    [input] (at most one read(2), and only when the channel's own buffer
+    is empty), and cuts records from it across refills. Each record goes
+    to [handle_line] or [handle_payload] (blank lines are skipped) with a
+    [respond] that writes the answer in the record's own mode, under the
+    connection's output lock; a failed write is swallowed, and so is one
+    the [server.drop_conn] fault site drops. Answers leave in batches: one
+    written while the session dispatches records it already holds stays
+    in [oc] until the session flushes, just before a read that may block
+    and at its end; one written while the session waits for input (a pool
+    worker's, a shard reader's) is flushed at once.
+
+    A first-record hello is answered here, under its request context, and
+    then [on_hello ~t0] runs (the answer's start time); the rest of the
+    buffer is then cut into frames. A record past [max_bytes] is answered
+    [invalid_request] with its length ([on_hello]'s analogue is
+    [on_oversized bytes]). A line is never held whole past the limit: its
+    bytes are counted up to its newline, where the next line begins, so
+    the connection stays open. A frame's payload is never read, so the
+    stream position is unknowable and the connection closes. A frame cut
+    off by end of input closes the connection with nothing to answer.
 
     [wire] (default [Json]) is the starting mode. [~wire:Binary] expects
     frames from byte zero, but sniffs the first byte: a connection that
@@ -80,7 +98,9 @@ val listen :
 (** Bind [host:port], print ["<name>: listening on <host>:<port>"] to
     [stderr], and accept connections (retrying on [EINTR]) until
     [connections] have been accepted (default: forever). SIGPIPE is
-    ignored, so a vanished peer surfaces as a write error. Each
+    ignored, so a vanished peer surfaces as a write error. The listening
+    and accepted sockets are close-on-exec, so a process the front end
+    spawns holds no connection open. Each
     connection's job — its session on the socket's channels, an error
     logged and printed rather than raised, then the close — is handed to
     [run], the front end's accept policy: [fun job -> job ()] serves
@@ -92,6 +112,7 @@ type client = { fd : Unix.file_descr; ic : in_channel; oc : out_channel }
 val connect : ?timeout_s:float -> Wire_bin.mode -> Unix.sockaddr -> client
 (** Connect to a front end and, for [Binary], upgrade the connection with
     the hello handshake (request id 0, which clients keep out of their
-    own numbering); [timeout_s] bounds the wait for its answer. Raises
+    own numbering); [timeout_s] bounds the wait for its answer. The
+    socket is close-on-exec. Raises
     [Unix.Unix_error] when the peer is unreachable and [Failure] when it
     does not acknowledge the upgrade; the socket is closed either way. *)

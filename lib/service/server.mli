@@ -46,10 +46,10 @@ type config = {
   cache_entries : int;  (** LRU capacity; [0] disables result caching *)
   timeout_ms : float option;  (** default per-request queue-wait budget *)
   max_request_bytes : int;
-      (** request lines longer than this are rejected up front with a
+      (** requests longer than this are rejected up front with a
           structured [invalid_request] error (they are never parsed, so a
           hostile client cannot make the server materialise an arbitrary
-          JSON document) *)
+          JSON document; a session never even holds such a line whole) *)
   slow_ms : float option;
       (** slow-request trigger ([rvu serve --slow-ms]): a request whose
           wall time exceeds this budget gets its trace id force-retained
@@ -135,8 +135,8 @@ val serve_channels :
     [~wire:Binary] is for peers pinned with [--wire binary]. The session's
     own answers are accounted here like requests: a first-record [hello]
     counts as ok and is timed into
-    [rvu_server_request_seconds{kind="hello"}], an oversized length prefix
-    counts as an error with a [warn] log record. *)
+    [rvu_server_request_seconds{kind="hello"}], an oversized line or
+    length prefix counts as an error with a [warn] log record. *)
 
 val serve_tcp :
   ?wire:Wire_bin.mode ->

@@ -1447,7 +1447,7 @@ let with_conn ?wire config f =
 (* The same session through the cluster router, over one in-process
    shard: a real Server behind a real TCP socket, as in test_cluster.
    Each session takes its own port. *)
-let routed_port = Atomic.make 7571
+let routed_port = Atomic.make 7701
 
 let with_routed_conn config f =
   let port = Atomic.fetch_and_add routed_port 1 in
@@ -1633,6 +1633,245 @@ let case_midstream_hello_rejected front () =
     (error_code r = None);
   close_out oc
 
+(* ------------------------------------------------------------------ *)
+(* Batches: a session answers every record a read brings, then flushes *)
+
+let framed wire payload =
+  match wire with Wb.Json -> payload ^ "\n" | Wb.Binary -> Wb.frame payload
+
+let payload_of wire doc =
+  Rvu_service.Conn.encode wire (Result.get_ok (Wire.parse doc))
+
+let recv wire ic =
+  match wire with
+  | Wb.Json -> input_line ic
+  | Wb.Binary -> (
+      match Wb.input_frame ic with
+      | Wb.Frame p -> p
+      | _ -> Alcotest.fail "no answer frame")
+
+let answer_id wire answer =
+  match
+    Option.bind
+      (Result.to_option (Rvu_service.Conn.decode wire answer))
+      (Wire.member "id")
+  with
+  | Some (Wire.Int id) -> id
+  | _ -> Alcotest.failf "answer without an integer id: %S" answer
+
+let fresh_answer wire payload =
+  answer_fresh
+    (match wire with
+    | Wb.Json -> Server.handle_sync
+    | Wb.Binary -> Server.handle_payload_sync)
+    payload
+
+(* Whether [fd] turns readable within [timeout] seconds. *)
+let readable fd timeout =
+  match Unix.select [ fd ] [] [] timeout with
+  | [], _, _ -> false
+  | _ -> true
+
+(* [f wire] on a session of each wire: the JSON start, then one upgraded
+   by the hello. *)
+let on_both_wires front config f =
+  front config (f Wb.Json);
+  upgraded front config (f Wb.Binary)
+
+(* Requests whose answers depend on nothing but themselves, so a fresh
+   server's are the reference. *)
+let burst_doc i =
+  match i mod 4 with
+  | 0 -> Printf.sprintf {|{"id":%d,"kind":"feasibility","v":%g}|} i (1.0 +. (float i /. 128.))
+  | 1 -> Printf.sprintf {|{"id":%d,"kind":"bound","v":0.5,"d":%g,"r":0.4}|} i (1.0 +. (float i /. 128.))
+  | 2 -> Printf.sprintf {|{"id":%d,"kind":"schedule","rounds":%d}|} i (1 + (i mod 3))
+  | _ ->
+      Printf.sprintf {|{"id":%d,"kind":"simulate","tau":0.5,"d":%g,"r":0.5,"bearing":0}|}
+        i (1.0 +. (float i /. 128.))
+
+(* A burst of records in one write, longer than the session's 4 KiB
+   reader buffer, so records are cut across refills: every id is
+   answered once, byte-equal to a fresh server. *)
+let case_burst front () =
+  let n = 128 in
+  on_both_wires front { conn_config with Server.queue_depth = 2 * n }
+  @@ fun wire oc ic ->
+  let payloads = Array.init n (fun i -> payload_of wire (burst_doc (i + 1))) in
+  let fresh = Array.map (fresh_answer wire) payloads in
+  output_string oc (String.concat "" (Array.to_list (Array.map (framed wire) payloads)));
+  flush oc;
+  let answered = Array.make n 0 in
+  for _ = 1 to n do
+    let answer = recv wire ic in
+    let id = answer_id wire answer in
+    if id < 1 || id > n then Alcotest.failf "answer to no burst record: %S" answer;
+    answered.(id - 1) <- answered.(id - 1) + 1;
+    check_string (Printf.sprintf "answer %d like a fresh server's" id) fresh.(id - 1) answer
+  done;
+  Array.iteri
+    (fun i k -> check_int (Printf.sprintf "id %d answered once" (i + 1)) 1 k)
+    answered;
+  close_out oc;
+  expect_eof ic "the burst's answers"
+
+(* A pool worker's answer, written while the session waits for input, is
+   flushed at once: the client need not send more, or close, to get it. *)
+let case_cold_answer_flushed front () =
+  on_both_wires front conn_config @@ fun wire oc ic ->
+  output_string oc
+    (framed wire
+       (payload_of wire
+          {|{"id":1,"kind":"simulate","tau":0.5,"d":1.5,"r":0.5,"bearing":0}|}));
+  flush oc;
+  check_bool "answered with the input left open" true
+    (readable (Unix.descr_of_in_channel ic) 10.0);
+  let answer = recv wire ic in
+  check_int "the simulate's id" 1 (answer_id wire answer);
+  check_bool "answered ok" true
+    (error_code (Result.get_ok (Rvu_service.Conn.decode wire answer)) = None);
+  close_out oc;
+  expect_eof ic "the cold answer"
+
+(* A sync answer that shares a read with a slow simulate leaves when the
+   session next waits, not when the simulate is done: the first bytes to
+   arrive are exactly the health answer. The simulate (identical robots,
+   so infeasible, scanned to a short horizon) takes a few hundred ms. *)
+let case_sync_answer_first front () =
+  on_both_wires front conn_config @@ fun wire oc ic ->
+  output_string oc
+    (framed wire (payload_of wire {|{"id":1,"kind":"simulate","d":2,"r":0.1,"horizon":4e5}|})
+    ^ framed wire (payload_of wire {|{"id":2,"kind":"health"}|}));
+  flush oc;
+  let fd = Unix.descr_of_in_channel ic in
+  check_bool "an answer within 10 s" true (readable fd 10.0);
+  let buf = Bytes.create 65536 in
+  let got = Bytes.sub_string buf 0 (Unix.read fd buf 0 65536) in
+  let n = String.length got in
+  let payload =
+    match wire with
+    | Wb.Json when n > 0 && String.index got '\n' = n - 1 -> String.sub got 0 (n - 1)
+    | Wb.Binary when n >= 4 && String.get_int32_be got 0 = Int32.of_int (n - 4) ->
+        String.sub got 4 (n - 4)
+    | _ -> Alcotest.failf "the first bytes are not one answer: %S" got
+  in
+  check_int "the health answer came first, alone" 2 (answer_id wire payload);
+  let answer = recv wire ic in
+  check_int "then the simulate's" 1 (answer_id wire answer);
+  check_bool "answered ok" true
+    (error_code (Result.get_ok (Rvu_service.Conn.decode wire answer)) = None);
+  close_out oc;
+  expect_eof ic "both answers"
+
+(* A line past max_request_bytes is counted to its newline, never held
+   whole: answered invalid_request with its full length, and the next
+   line on the connection is served. A line just past the limit, which
+   a read can bring whole, is answered the same way. *)
+let case_oversized_line front () =
+  front { conn_config with Server.max_request_bytes = 256 } @@ fun oc ic ->
+  let line pad = {|{"id":1,"pad":"|} ^ String.make pad 'x' ^ {|"}|} in
+  let long = line 2000 and just_over = line 240 in
+  output_string oc
+    (long ^ "\n" ^ just_over ^ "\n" ^ {|{"id":2,"kind":"health"}|} ^ "\n");
+  flush oc;
+  List.iter
+    (fun l ->
+      let r = Result.get_ok (Wire.parse (input_line ic)) in
+      check_bool "an oversized line answers invalid_request" true
+        (error_code r = Some "invalid_request");
+      check_bool "its message names its length and the limit" true
+        (Option.bind (Wire.member "error" r) (Wire.member "message")
+        = Some
+            (Wire.String
+               (Printf.sprintf
+                  "request line of %d bytes exceeds the 256 byte limit"
+                  (String.length l)))))
+    [ long; just_over ];
+  let r = Result.get_ok (Wire.parse (input_line ic)) in
+  check_bool "the next line is served" true
+    (Wire.member "id" r = Some (Wire.Int 2) && error_code r = None);
+  close_out oc;
+  expect_eof ic "the next line's answer"
+
+(* write(2) calls this process has made, when /proc says. *)
+let syscw () =
+  match In_channel.with_open_text "/proc/self/io" In_channel.input_all with
+  | exception Sys_error _ -> None
+  | io ->
+      List.find_map
+        (fun l -> Scanf.sscanf_opt l "syscw: %d" Fun.id)
+        (String.split_on_char '\n' io)
+
+(* 32 pipelined health lines in one write cost two write(2) calls in all:
+   the client's, and one for the server's 32 answers. *)
+let test_pipelined_answers_one_write () =
+  if syscw () = None then Alcotest.skip ();
+  with_conn conn_config @@ fun oc ic ->
+  let before = Option.get (syscw ()) in
+  output_string oc
+    (String.concat ""
+       (List.init 32 (fun i -> Printf.sprintf "{\"id\":%d,\"kind\":\"health\"}\n" (i + 1))));
+  flush oc;
+  (* Checked after the count: each check writes to the test's log. *)
+  let ids = List.init 32 (fun _ -> answer_id Wb.Json (input_line ic)) in
+  let writes = Option.get (syscw ()) - before in
+  check_bool "answers in order" true (ids = List.init 32 succ);
+  check_bool (Printf.sprintf "%d write(2) calls, at most 2" writes) true (writes <= 2);
+  close_out oc
+
+(* Every socket Conn opens is close-on-exec: a child spawned while a
+   session runs, as the router spawns its workers, holds none of them —
+   not the listener, the accepted connection or the client's socket. *)
+let test_sockets_close_on_exec () =
+  let module Conn = Rvu_service.Conn in
+  let port = 7699 in
+  let spawned = ref [] in
+  let sockets pid =
+    let dir = Printf.sprintf "/proc/%d/fd" pid in
+    Array.to_list (Sys.readdir dir)
+    |> List.filter_map (fun fd ->
+           match Unix.readlink (Filename.concat dir fd) with
+           | link when String.starts_with ~prefix:"socket:" link -> Some link
+           | _ | (exception Unix.Unix_error _) -> None)
+  in
+  let listener =
+    Domain.spawn (fun () ->
+        Conn.listen ~name:"cloexec" ~host:"127.0.0.1" ~port ~connections:1
+          ~run:(fun job -> job ())
+          (fun _ic _oc ->
+            let null = Unix.openfile "/dev/null" [ Unix.O_RDWR; Unix.O_CLOEXEC ] 0 in
+            let pid =
+              Unix.create_process "sleep" [| "sleep"; "30" |] null null null
+            in
+            Unix.close null;
+            (* Wait for the exec, which drops close-on-exec descriptors. *)
+            let rec execed tries =
+              tries = 0
+              || (match Unix.readlink (Printf.sprintf "/proc/%d/exe" pid) with
+                 | exe -> Filename.basename exe = "sleep"
+                 | exception Unix.Unix_error _ -> false)
+              || (Unix.sleepf 0.01; execed (tries - 1))
+            in
+            ignore (execed 200 : bool);
+            spawned := sockets pid;
+            Unix.kill pid Sys.sigkill;
+            ignore (Unix.waitpid [] pid)))
+  in
+  let addr = Unix.ADDR_INET (Unix.inet_addr_loopback, port) in
+  let rec connect tries =
+    match Conn.connect Wb.Json addr with
+    | c -> c
+    | exception Unix.Unix_error _ when tries > 0 ->
+        Unix.sleepf 0.02;
+        connect (tries - 1)
+  in
+  let c = connect 250 in
+  expect_eof c.ic "the session";
+  close_in_noerr c.ic;
+  Domain.join listener;
+  check_bool
+    (Printf.sprintf "the child held no socket (held %s)" (String.concat ", " !spawned))
+    true (!spawned = [])
+
 (* The cases every front end's session must pass. *)
 let battery front =
   List.map
@@ -1646,6 +1885,10 @@ let battery front =
         fun front -> case_oversized_length (upgraded front) );
       ( "mid-frame drop after upgrade closes cleanly",
         fun front -> case_midframe_drop (upgraded front) );
+      ("a burst in one write, answered once each", case_burst);
+      ("a cold answer flushed with the input open", case_cold_answer_flushed);
+      ("a sync answer leaves before a slow one", case_sync_answer_first);
+      ("an oversized line answers and resyncs", case_oversized_line);
     ]
 
 (* Results that overflow a double. A bound with τ within 1e-4 of 1 has an
@@ -1834,6 +2077,10 @@ let () =
             `Quick test_overflowing_results_answered;
           Alcotest.test_case "schedule's last round on both wires" `Quick
             test_schedule_last_round;
+          Alcotest.test_case "pipelined answers leave in one write" `Quick
+            test_pipelined_answers_one_write;
+          Alcotest.test_case "sockets are close-on-exec" `Quick
+            test_sockets_close_on_exec;
         ]
         @ battery (fun config f -> with_conn config f) );
       ("routed transport", battery with_routed_conn);
