@@ -840,8 +840,8 @@ let inject_seed_arg =
     & info [ "inject-seed" ] ~docv:"N"
         ~doc:"Seed for the fault injector's deterministic decisions.")
 
-(* The wire-codec enum (--wire json|binary), shared by serve, loadgen,
-   router and verify — one converter so every subcommand rejects a bad
+(* The wire-codec enum (--wire json|binary), shared by loadgen, router
+   and verify — one converter so every subcommand rejects a bad
    codec name the same way, at parse time. *)
 let wire_conv =
   let parse s =
@@ -862,7 +862,7 @@ let wire_arg ~doc =
     & opt wire_conv Rvu_service.Wire_bin.Json
     & info [ "wire" ] ~docv:"WIRE" ~doc)
 
-let serve config tcp_port host connections wire trace logging inject inject_seed
+let serve config tcp_port host connections trace logging inject inject_seed
     slow_ms =
   (* A router-owned worker is stopped with SIGTERM, which would skip
      [at_exit] and lose the trace file's final flush — convert it to a
@@ -889,9 +889,8 @@ let serve config tcp_port host connections wire trace logging inject inject_seed
   let server = Rvu_service.Server.create ~config () in
   Fun.protect ~finally:Rvu_obs.Runtime.stop @@ fun () ->
   (match tcp_port with
-  | Some port ->
-      Rvu_service.Server.serve_tcp ~wire server ~host ~port ?connections ()
-  | None -> Rvu_service.Server.serve_channels ~wire server stdin stdout);
+  | Some port -> Rvu_service.Server.serve_tcp server ~host ~port ?connections ()
+  | None -> Rvu_service.Server.serve_channels server stdin stdout);
   Rvu_service.Server.stop server
 
 let serve_cmd =
@@ -920,14 +919,6 @@ let serve_cmd =
             "Exit after serving this many TCP connections (default: serve \
              forever). Useful for smoke tests.")
   in
-  let wire =
-    wire_arg
-      ~doc:
-        "Starting wire codec for every connection: $(i,json) (default, \
-         NDJSON; a $(i,hello) record can still upgrade a connection to \
-         binary) or $(i,binary) (length-prefixed frames from byte zero, \
-         for peers pinned with the same flag)."
-  in
   let slow_ms =
     Arg.(
       value
@@ -945,7 +936,7 @@ let serve_cmd =
          "Run the evaluation server: one JSON request per line in, one JSON \
           response per line out (see DESIGN.md for the protocol).")
     Term.(
-      const serve $ config_term $ tcp $ host $ connections $ wire $ trace_arg
+      const serve $ config_term $ tcp $ host $ connections $ trace_arg
       $ logging_term $ inject_arg $ inject_seed_arg $ slow_ms)
 
 (* Client-side binary shims: [Loadgen] itself is transport-agnostic and
@@ -1356,9 +1347,9 @@ let router_cmd =
       & info [ "route-timeout-ms" ] ~docv:"MS"
           ~doc:
             "Budget for one shard to answer a routed request. Past it the \
-             router sends the request again, to a shard picked afresh from \
-             the ready ones, which may be the shard that timed out; after \
-             the retry budget it is shed with an $(i,overloaded) error.")
+             router sends the request again, to another ready shard when \
+             there is one; after the retry budget it is shed with an \
+             $(i,overloaded) error.")
   in
   let wire =
     wire_arg

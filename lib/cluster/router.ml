@@ -2,7 +2,7 @@
    requests and responses are byte-spliced rather than re-printed.
 
    Locking order (always taken in this order, never reversed):
-     router lock (t.lock)  — outstanding counter, reader registry
+     router lock (t.lock)  — reader registry
      shard lock (sh.lock)  — status, connection, pending table
    Log/Metrics have their own internal locks and never call back here.
    Callbacks (respond, fan-out delivery, probe verdicts) are always
@@ -112,8 +112,6 @@ type t = {
   shards : shard array;
   rid : int Atomic.t;
   lock : Mutex.t;
-  idle : Condition.t;
-  mutable outstanding : int;
   mutable stopping : bool;
   mutable stopped : bool;
   mutable supervisor : unit Domain.t option;
@@ -155,33 +153,21 @@ let shard_list t extra =
   in
   Wire.List (List.map entry (Array.to_list t.shards))
 
-(* ------------------------------------------------------------------ *)
-(* Outstanding-request accounting *)
-
-let enter t =
-  Mutex.lock t.lock;
-  t.outstanding <- t.outstanding + 1;
-  Mutex.unlock t.lock
-
-let leave t =
-  Mutex.lock t.lock;
-  t.outstanding <- t.outstanding - 1;
-  if t.outstanding = 0 then Condition.broadcast t.idle;
-  Mutex.unlock t.lock
-
-let wait_idle t =
-  Mutex.lock t.lock;
-  while t.outstanding > 0 do
-    Condition.wait t.idle t.lock
-  done;
-  Mutex.unlock t.lock
-
 let next_rid t = Atomic.fetch_and_add t.rid 1
 
-(* Racy by design: a stale [Ready] just means one failed dispatch and a
-   retry; a stale [Down] costs cache locality for one request. The ring
-   itself is pure, so no lock is worth taking here. *)
-let live t = Array.map (fun (sh : shard) -> sh.status = Ready) t.shards
+(* The ready shards, less [avoid] (the shard a retry timed out on)
+   unless no other shard is ready. Racy by design: a stale [Ready] just
+   means one failed dispatch and a retry; a stale [Down] costs cache
+   locality for one request. The ring itself is pure, so no lock is
+   worth taking here. *)
+let live ?avoid t =
+  let live = Array.map (fun (sh : shard) -> sh.status = Ready) t.shards in
+  (match avoid with
+  | Some i when live.(i) ->
+      live.(i) <- false;
+      if not (Array.mem true live) then live.(i) <- true
+  | _ -> ());
+  live
 
 let shard_statuses t = Array.map (fun (sh : shard) -> status_string sh.status) t.shards
 
@@ -244,8 +230,7 @@ let complete t ?shard (r : routed) response =
             (match shard with
             | Some i -> [ ("shard", Wire.Int i) ]
             | None -> []))
-          ~ts_us:(r.r_t0 *. 1e6) ~dur_us:(dt *. 1e6) "forward");
-  leave t
+          ~ts_us:(r.r_t0 *. 1e6) ~dur_us:(dt *. 1e6) "forward")
 
 (* File [entry] under [rid] on [sh] and write [payload] in the shard
    codec. [false] when the shard has no connection or the write fails;
@@ -276,8 +261,8 @@ let rec send t (sh : shard) ~rid ~deadline entry payload =
 
 (* Each attempt gets the whole route timeout, counted from its own
    dispatch. *)
-and dispatch t (r : routed) =
-  match Ring.pick ~live:(live t) ~parts:r.r_parts with
+and dispatch ?avoid t (r : routed) =
+  match Ring.pick ~live:(live ?avoid t) ~parts:r.r_parts with
   | None -> shed t r "no live shard"
   | Some i ->
       let rid = next_rid t in
@@ -289,7 +274,7 @@ and dispatch t (r : routed) =
              (r.r_pre ^ Conn.encode t.config.wire (Wire.Int rid) ^ r.r_post))
       then redispatch t { r with r_retries = r.r_retries + 1 }
 
-and redispatch t (r : routed) =
+and redispatch ?avoid t (r : routed) =
   if r.r_retries > t.config.max_retries then shed t r "shard retries exhausted"
   else begin
     Metrics.incr t.m_retried;
@@ -297,7 +282,7 @@ and redispatch t (r : routed) =
       ~fields:
         [ ("ctx", Wire.String r.r_ctx.cid); ("retries", Wire.Int r.r_retries) ]
       "request rerouted";
-    dispatch t r
+    dispatch ?avoid t r
   end
 
 and shed t (r : routed) reason =
@@ -611,7 +596,8 @@ let supervisor_loop t =
                   ~fields:
                     (shard_fields sh @ [ ("ctx", Wire.String r.r_ctx.cid) ])
                   "request timed out on shard";
-                redispatch t { r with r_retries = r.r_retries + 1 }
+                redispatch ~avoid:sh.index t
+                  { r with r_retries = r.r_retries + 1 }
             | Internal i -> i.deliver None)
           expired)
       t.shards;
@@ -667,7 +653,6 @@ let int_at path w =
   go path w
 
 let handle_fanout t ~client env ~respond =
-  enter t;
   Metrics.incr t.m_fanout;
   let ctx = Ctx.derive env.Proto.id in
   let t0 = Clock.now_s () in
@@ -728,8 +713,7 @@ let handle_fanout t ~client env ~respond =
     in
     respond
       (Conn.encode client (Proto.ok_response ~ctx ~id:env.Proto.id payload));
-    Metrics.observe t.m_latency (Clock.now_s () -. t0);
-    leave t
+    Metrics.observe t.m_latency (Clock.now_s () -. t0)
   in
   let targets =
     Array.to_list t.shards |> List.filter (fun (sh : shard) -> sh.conn <> None)
@@ -751,111 +735,123 @@ let handle_fanout t ~client env ~respond =
         targets
 
 (* ------------------------------------------------------------------ *)
-(* Client lines / frames *)
+(* Client records *)
 
-let local_error ~client ~respond ~id code msg =
-  let ctx = Ctx.derive id in
-  Log.warn
-    ~fields:[ ("ctx", Wire.String ctx); ("error", Wire.String msg) ]
-    "request rejected";
-  respond (Conn.encode client (Proto.error_response ~ctx ~id code msg))
+(* The most a forward adds to a record in the shard codec: the router's
+   id member ahead of the client's (25 bytes as JSON with a 19-digit id,
+   15 as binary) and, with tracing on, the trace member (66 bytes as
+   JSON, 69 as binary). *)
+let envelope_bytes = 91
+
+(* The router's one size limit, on a record in the shard codec: under it,
+   the forward fits a shard's [max_request_bytes]. *)
+let limit t = max 0 (t.config.max_request_bytes - envelope_bytes)
+
+(* A refusal: the answer to a client record the router does not route —
+   one that does not parse, is not a valid request or is a mid-stream
+   hello (each logged as [log]), or one past the size limit. [id] is the
+   record's own, when it carried a usable one. *)
+let refuse ~client ~respond ?(id = Wire.Null) ?log code msg =
+  Option.iter (Log.warn ~fields:[ ("error", Wire.String msg) ]) log;
+  respond
+    (Conn.encode client (Proto.error_response ~ctx:(Ctx.derive id) ~id code msg))
+
+(* A record of [bytes] bytes in [mode] past the size limit. *)
+let refuse_oversized t ~client ~respond ?id mode bytes =
+  refuse ~client ~respond ?id Proto.Invalid_request
+    (Conn.too_large mode bytes ~limit:(limit t))
 
 (* A client request that passed its codec's parse as an object. [bytes]
    is the request in the client's codec: forwarded verbatim when the
    shards speak the same codec, re-rendered into the shard codec
    otherwise (a transcode per request — the price of bridging a JSON
-   client onto binary shards or vice versa). *)
+   client onto binary shards or vice versa), and measured again, since
+   a transcode can outgrow the limit. *)
 let route_parsed t ~client ~bytes w ~respond =
   match Proto.envelope_id w with
   | Error msg ->
-      (* A bad id is rejected here, by the server's own rule and message:
+      (* A bad id is refused here, by the server's own rule and message:
          a forwarded bad id would come back unmatchable. *)
-      local_error ~client ~respond ~id:Wire.Null Proto.Invalid_request msg
+      refuse ~client ~respond ~log:"request rejected" Proto.Invalid_request msg
   | Ok id -> (
       match Wire.member "kind" w with
       | Some (Wire.String "hello") ->
           (* Transport negotiation never reaches a shard; past the first
              record (the session answers that one) it is an error, with
              the server's message. *)
-          local_error ~client ~respond ~id Proto.Invalid_request
+          refuse ~client ~respond ~id ~log:"request rejected"
+            Proto.Invalid_request
             "hello must be the first record on a connection"
       | Some (Wire.String ("stats" | "metrics" | "health")) -> (
           (* Fan-out kinds are decoded fully so malformed envelopes
              (bad timeout, bad format) get the server's messages. *)
           match Proto.request_of_wire w with
           | Error msg ->
-              local_error ~client ~respond ~id Proto.Invalid_request msg
+              refuse ~client ~respond ~id ~log:"request rejected"
+                Proto.Invalid_request msg
           | Ok env -> handle_fanout t ~client env ~respond)
       | kind ->
-          let kind = match kind with Some (Wire.String k) -> k | _ -> "?" in
-          let ctx = Ctx.derive id in
-          (* The root span context for this routed request, serialized as
-             a traceparent into the forwarded frame. The shard serves
-             under a child of it, so router and shard spans share one
-             trace id. Minted once; retries reuse it. *)
-          let span =
-            if Trace.enabled () then Some (Ctx.new_root ()) else None
-          in
-          let trace = Option.map Ctx.to_traceparent span in
           let shard_bytes =
             if client = t.config.wire then bytes
             else Conn.encode t.config.wire w
           in
-          let pre, post =
-            match t.config.wire with
-            | Wb.Json -> Frame.forward_parts ?trace shard_bytes
-            | Wb.Binary -> Frame.bin_forward_parts ?trace shard_bytes
-          in
-          let parts =
-            match t.config.wire with
-            | Wb.Json -> Frame.routing_parts shard_bytes
-            | Wb.Binary -> Frame.bin_routing_parts shard_bytes
-          in
-          let id_bytes = Conn.encode t.config.wire id in
-          let ctx_bytes = Conn.encode t.config.wire (Wire.String ctx) in
-          enter t;
-          Log.debug
-            ~fields:[ ("ctx", Wire.String ctx); ("kind", Wire.String kind) ]
-            "request accepted";
-          dispatch t
-            {
-              r_pre = pre;
-              r_post = post;
-              r_parts = parts;
-              r_client = client;
-              r_id = id;
-              r_id_bytes = id_bytes;
-              r_ctx = { cid = ctx; span };
-              r_ctx_bytes = ctx_bytes;
-              r_kind = kind;
-              r_t0 = Clock.now_s ();
-              r_retries = 0;
-              r_respond = respond;
-            })
+          if String.length shard_bytes > limit t then
+            refuse_oversized t ~client ~respond ~id t.config.wire
+              (String.length shard_bytes)
+          else
+            let kind = match kind with Some (Wire.String k) -> k | _ -> "?" in
+            let ctx = Ctx.derive id in
+            (* The root span context for this routed request, serialized
+               as a traceparent into the forwarded frame. The shard serves
+               under a child of it, so router and shard spans share one
+               trace id. Minted once; retries reuse it. *)
+            let span =
+              if Trace.enabled () then Some (Ctx.new_root ()) else None
+            in
+            let trace = Option.map Ctx.to_traceparent span in
+            let pre, post =
+              match t.config.wire with
+              | Wb.Json -> Frame.forward_parts ?trace shard_bytes
+              | Wb.Binary -> Frame.bin_forward_parts ?trace shard_bytes
+            in
+            let parts =
+              match t.config.wire with
+              | Wb.Json -> Frame.routing_parts shard_bytes
+              | Wb.Binary -> Frame.bin_routing_parts shard_bytes
+            in
+            let id_bytes = Conn.encode t.config.wire id in
+            let ctx_bytes = Conn.encode t.config.wire (Wire.String ctx) in
+            Log.debug
+              ~fields:[ ("ctx", Wire.String ctx); ("kind", Wire.String kind) ]
+              "request accepted";
+            dispatch t
+              {
+                r_pre = pre;
+                r_post = post;
+                r_parts = parts;
+                r_client = client;
+                r_id = id;
+                r_id_bytes = id_bytes;
+                r_ctx = { cid = ctx; span };
+                r_ctx_bytes = ctx_bytes;
+                r_kind = kind;
+                r_t0 = Clock.now_s ();
+                r_retries = 0;
+                r_respond = respond;
+              })
 
 (* The client entry for both codecs: [client] decodes the request and
-   renders every local answer. Keep 64 bytes of headroom under the
-   workers' limit: the router prepends its own id member, and a forwarded
-   request must never bounce off a worker's oversized-request guard
-   (those rejections carry a null id and could not be matched back). *)
+   renders every local answer. *)
 let handle_client t ~client bytes ~respond =
-  let limit = t.config.max_request_bytes - 64 in
-  let reject code msg =
-    respond
-      (Conn.encode client
-         (Proto.error_response ~ctx:(Ctx.generate ()) ~id:Wire.Null code msg))
-  in
-  if String.length bytes > limit then
-    reject Proto.Invalid_request
-      (Conn.too_large client (String.length bytes) ~limit)
+  if String.length bytes > limit t then
+    refuse_oversized t ~client ~respond client (String.length bytes)
   else
     match Conn.decode client bytes with
     | Error msg ->
-        Log.warn ~fields:[ ("error", Wire.String msg) ] "request parse error";
-        reject Proto.Parse_error msg
+        refuse ~client ~respond ~log:"request parse error" Proto.Parse_error msg
     | Ok (Wire.Obj _ as w) -> route_parsed t ~client ~bytes w ~respond
     | Ok v ->
-        local_error ~client ~respond ~id:Wire.Null Proto.Invalid_request
+        refuse ~client ~respond ~log:"request rejected" Proto.Invalid_request
           (Printf.sprintf "expected a request object, got %s" (Wire.kind_name v))
 
 let handle_line t = handle_client t ~client:Wb.Json
@@ -870,8 +866,11 @@ let handle_payload_sync t payload =
 (* Transports *)
 
 let serve_channels t ic oc =
-  Conn.serve ~max_bytes:t.config.max_request_bytes ~handle_line:(handle_line t)
-    ~handle_payload:(handle_payload t) ~wait_idle:(fun () -> wait_idle t) ic oc
+  Conn.serve ~max_bytes:(limit t)
+    ~handle:(fun client bytes ~respond -> handle_client t ~client bytes ~respond)
+    ~oversized:(fun client bytes ~respond ->
+      refuse_oversized t ~client ~respond client bytes)
+    ic oc
 
 (* A domain per connection: the router is the process clients share. *)
 let serve_tcp t ~host ~port ?connections () =
@@ -921,8 +920,6 @@ let create ?(config = default_config) ~endpoints () =
       shards = Array.of_list (List.mapi mk endpoints);
       rid = Atomic.make 1;
       lock = Mutex.create ();
-      idle = Condition.create ();
-      outstanding = 0;
       stopping = false;
       stopped = false;
       supervisor = None;

@@ -18,7 +18,9 @@
       each [probe_interval_ms]. A shard that reports degraded, misses a
       probe, or drops its connection is {e evicted} from the ring
       (in-flight requests are re-routed to the surviving shards, up to
-      [max_retries], then shed with [overloaded]); spawned workers are
+      [max_retries], then shed with [overloaded]), and a request that
+      outlives [route_timeout_ms] on a shard is re-routed away from it;
+      spawned workers are
       restarted with [restart_backoff_ms] backoff; a returning shard is
       re-admitted only after a probe reports it ready;
     - [stats], [metrics] and [health] requests fan out to every connected
@@ -51,11 +53,22 @@ type config = {
       (** per-dispatch budget on one shard before the router re-routes
           the request: each attempt, retries included, gets the whole
           budget from its own dispatch (also the fan-out collection
-          budget) *)
+          budget). The retry goes to another ready shard: the one that
+          timed out is left out of the pick unless it is the only ready
+          one. *)
   max_retries : int;  (** re-route attempts before shedding *)
   max_request_bytes : int;
-      (** client lines longer than this (less a small envelope headroom)
-          are rejected up front, mirroring the server's limit *)
+      (** the shards' limit on a request record. The router's own limit
+          is [max_request_bytes - envelope_bytes], on a record measured
+          in the shard codec: the client's record itself when the codecs
+          match, its transcoded form when they differ. Under it, no
+          forward exceeds [max_request_bytes], router id and trace
+          member included. A record past it is refused at once with
+          [invalid_request], naming that limit ({!Rvu_service.Conn.too_large});
+          a record refused for its transcoded size is named in the shard
+          codec and keeps its id. A client line is never held whole past
+          the limit, and a client frame past it closes the connection,
+          as on a server. *)
   connect_timeout_ms : float;
       (** how long {!create} waits for the initial shard connections;
           shards still unreachable stay down and keep being retried by
@@ -71,6 +84,12 @@ type config = {
           ({!serve_channels}), with a transcode at the router when the
           two sides differ. *)
 }
+
+val envelope_bytes : int
+(** The most a forward adds to a record in the shard codec: 91 bytes,
+    the router's id member (25 bytes as JSON with a 19-digit id, 15 as
+    binary) and the trace member tracing adds (66 bytes as JSON, 69 as
+    binary). *)
 
 val default_config : config
 (** [{probe_interval_ms = 250.; restart_backoff_ms = 500.;
@@ -106,9 +125,6 @@ val handle_payload : t -> string -> respond:(string -> unit) -> unit
 val handle_payload_sync : t -> string -> string
 (** [handle_payload] plus blocking until the response arrives. *)
 
-val wait_idle : t -> unit
-(** Block until no accepted request is outstanding. *)
-
 val shard_statuses : t -> string array
 (** Current per-shard supervisor state, ["ready"]/["degraded"]/["down"] —
     the ring admits exactly the ["ready"] ones. For tests and stats. *)
@@ -116,9 +132,10 @@ val shard_statuses : t -> string array
 val serve_channels : t -> in_channel -> out_channel -> unit
 (** One {!Rvu_service.Conn.serve} session over {!handle_line}/
     {!handle_payload} — the session loop a direct server runs: serve
-    until end-of-input, then drain and flush. Connections start as
-    NDJSON; a first-record [hello] with ["wire":"binary"] upgrades the
-    connection to length-prefixed binary frames. *)
+    until end-of-input, then flush and wait for this session's own
+    answers only, however long other clients' requests take. Connections
+    start as NDJSON; a first-record [hello] with ["wire":"binary"]
+    upgrades the connection to length-prefixed binary frames. *)
 
 val serve_tcp : t -> host:string -> port:int -> ?connections:int -> unit -> unit
 (** {!Rvu_service.Conn.listen} as ["rvu router"], serving each accepted

@@ -193,15 +193,19 @@ let hello line =
       | Ok ({ Proto.request = Proto.Hello m; _ } as env) -> Some (env, m)
       | Ok _ | Error _ -> None)
 
-let serve ?(wire = Wire_bin.Json) ?on_hello ?on_oversized ~max_bytes
-    ~handle_line ~handle_payload ~wait_idle ic oc =
-  let lock = Mutex.create () in
+let serve ?on_hello ~max_bytes ~handle ~oversized ic oc =
+  let lock = Mutex.create () and drained = Condition.create () in
   (* Under [lock]: whether the session is dispatching records it already
      holds. Their answers stay in [oc] until the session flushes, just
      before a read that may block or at its end; an answer written while
      it waits for input (a pool worker's, a shard reader's) is flushed at
      once. *)
   let dispatching = ref false in
+  (* Records this session handed to its front end and has not yet seen
+     answered. It is raised on the session's domain; the answer that
+     brings it to zero, on whatever domain, signals [drained] under
+     [lock], where the session's last wait reads it. *)
+  let pending = Atomic.make 0 in
   let idle waiting =
     Mutex.lock lock;
     dispatching := not waiting;
@@ -220,27 +224,29 @@ let serve ?(wire = Wire_bin.Json) ?on_hello ?on_oversized ~max_bytes
        output_record mode oc record;
        if not !dispatching then flush oc
      with _ -> () (* peer went away; keep serving the rest *));
+    if Atomic.fetch_and_add pending (-1) = 1 then Condition.signal drained;
     Mutex.unlock lock
   in
   let respond_line = respond Wire_bin.Json in
   let respond_frame = respond Wire_bin.Binary in
-  let r = reader ~idle ~max_bytes ic in
-  let refuse mode bytes =
-    let ctx = Rvu_obs.Ctx.generate () in
-    Rvu_obs.Ctx.with_ctx { cid = ctx; span = None } (fun () ->
-        respond mode
-          (encode mode
-             (Proto.error_response ~ctx ~id:Wire.Null Proto.Invalid_request
-                (too_large mode bytes ~limit:max_bytes)));
-        Option.iter (fun f -> f bytes) on_oversized)
+  (* Hand a record (or an oversized one's length) to the front end. A
+     handler that raises leaves no answer to wait for. *)
+  let hand f mode x respond =
+    Atomic.incr pending;
+    match f mode x ~respond with
+    | () -> ()
+    | exception e ->
+        Atomic.decr pending;
+        raise e
   in
+  let r = reader ~idle ~max_bytes ic in
   let rec lines ~first =
     match line r with
     | record -> line_record ~first record
     | exception End_of_file -> ()
     | exception Oversized bytes ->
         (* The line was skipped to its newline, where the next begins. *)
-        refuse Wire_bin.Json bytes;
+        hand oversized Wire_bin.Json bytes respond_line;
         lines ~first:false
   and line_record ~first line =
     if String.trim line = "" then lines ~first
@@ -250,6 +256,8 @@ let serve ?(wire = Wire_bin.Json) ?on_hello ?on_oversized ~max_bytes
           let ctx = Rvu_obs.Ctx.derive env.Proto.id in
           Rvu_obs.Ctx.with_ctx { cid = ctx; span = None } (fun () ->
               let t0 = Rvu_obs.Clock.now_s () in
+              (* The session's own answer, counted like a front end's. *)
+              Atomic.incr pending;
               respond_line
                 (Wire.print
                    (Proto.ok_response ~ctx ~id:env.Proto.id
@@ -260,12 +268,12 @@ let serve ?(wire = Wire_bin.Json) ?on_hello ?on_oversized ~max_bytes
           | Wire_bin.Json -> lines ~first:false
           | Wire_bin.Binary -> frames ())
       | None ->
-          handle_line line ~respond:respond_line;
+          hand handle Wire_bin.Json line respond_line;
           lines ~first:false
   and frames () =
     match frame r with
     | payload ->
-        handle_payload payload ~respond:respond_frame;
+        hand handle Wire_bin.Binary payload respond_frame;
         frames ()
     | exception End_of_file -> ()
     | exception Truncated ->
@@ -274,23 +282,19 @@ let serve ?(wire = Wire_bin.Json) ?on_hello ?on_oversized ~max_bytes
         Rvu_obs.Log.warn "connection closed mid-frame"
     | exception Oversized bytes ->
         (* The payload was never read: the stream position is lost. *)
-        refuse Wire_bin.Binary bytes
+        hand oversized Wire_bin.Binary bytes respond_frame
   in
   Fun.protect
     ~finally:(fun () ->
-      (* Flush, and let what is still running answer at once. *)
+      (* Flush, then wait for this session's own answers only; each
+         leaves at once. *)
       idle true;
-      wait_idle ())
-    (fun () ->
-      match wire with
-      | Wire_bin.Json -> lines ~first:true
-      | Wire_bin.Binary ->
-          (* Pinned-binary start: a '{' first byte is a JSON client
-             (typically a hello upgrade line); pinned peers start framing
-             at byte zero and never hit this. *)
-          if holds r 1 then
-            if Bytes.get r.buf r.pos = '{' then lines ~first:true
-            else frames ())
+      Mutex.lock lock;
+      while Atomic.get pending > 0 do
+        Condition.wait drained lock
+      done;
+      Mutex.unlock lock)
+    (fun () -> lines ~first:true)
 
 (* ------------------------------------------------------------------ *)
 (* Listener *)

@@ -284,6 +284,25 @@ let respond_error ~wire t ~ctx ~id (code, msg) ~respond =
   count t (match code with Proto.Overloaded -> `Overloaded | _ -> `Error);
   try respond (render_error ~wire ~ctx ~id code msg) with _ -> ()
 
+(* A refusal: the answer to a record the server does not accept — one
+   that does not parse, an invalid request, a mid-stream hello or an
+   oversized record. It is counted as an error and logged under its own
+   context ([fields] default to the message), never timed: the record
+   never became a request. *)
+let refuse ~wire t ~id code msg ?(fields = [ ("error", Wire.String msg) ]) log
+    ~respond =
+  let ctx = Rvu_obs.Ctx.derive id in
+  Rvu_obs.Ctx.with_ctx { cid = ctx; span = None } (fun () ->
+      count t `Error;
+      Rvu_obs.Log.warn ~fields log;
+      respond (render_error ~wire ~ctx ~id code msg))
+
+let refuse_oversized ~wire t bytes ~respond =
+  refuse ~wire t ~id:Wire.Null Proto.Invalid_request
+    (Conn.too_large wire bytes ~limit:t.config.max_request_bytes)
+    ~fields:[ ("bytes", Wire.Int bytes) ]
+    "request rejected: oversized" ~respond
+
 (* Count and answer an ok result, rendered by [render]; the outcome is
    returned for the log. A result no wire can carry (a non-finite float a
    handler let through) is answered [internal]: the renderers raise, and
@@ -383,18 +402,6 @@ let handle_env ?fill ~wire t env ~respond =
             | Proto.Metrics_json -> Rvu_obs.Metrics.json ()
             | Proto.Metrics_prometheus ->
                 Wire.String (Rvu_obs.Metrics.expose ()))
-      | Proto.Hello _ ->
-          (* Connection state, not a computation: the session
-             ({!Conn.serve}) intercepts a first-record hello before it
-             reaches this path, so one seen here arrived mid-stream (or
-             through the in-process entry). *)
-          let msg = "hello must be the first record on a connection" in
-          count t `Error;
-          Rvu_obs.Log.warn
-            ~fields:[ ("error", Wire.String msg) ]
-            "request invalid";
-          respond
-            (render_error ~wire ~ctx ~id:env.Proto.id Proto.Invalid_request msg)
       | _ ->
           enter t;
           let on_hit =
@@ -416,44 +423,28 @@ let handle_env ?fill ~wire t env ~respond =
               finish_request t ~kind ~seconds ~frame:false ~ctx:c ~t0;
               leave t))
 
-(* Decoded but not yet validated: reject with the id salvaged if the
-   envelope carried a usable one, so even a rejected request can be
-   matched by its client. *)
+(* Decoded but not yet validated: refuse with the id salvaged if the
+   envelope carried a usable one, so even a refused request can be
+   matched by its client. A hello is connection state: the session
+   ({!Conn.serve}) answers a first-record one before it reaches this
+   path, so one seen here arrived mid-stream (or through the in-process
+   entry). *)
 let handle_wire ?fill ~wire t w ~respond =
   match Proto.request_of_wire w with
   | Error msg ->
       let id = Result.value (Proto.envelope_id w) ~default:Wire.Null in
-      let ctx = Rvu_obs.Ctx.derive id in
-      Rvu_obs.Ctx.with_ctx { cid = ctx; span = None } (fun () ->
-          count t `Error;
-          Rvu_obs.Log.warn ~fields:[ ("error", Wire.String msg) ] "request invalid";
-          respond (render_error ~wire ~ctx ~id Proto.Invalid_request msg))
+      refuse ~wire t ~id Proto.Invalid_request msg "request invalid" ~respond
+  | Ok { Proto.request = Proto.Hello _; id; _ } ->
+      refuse ~wire t ~id Proto.Invalid_request
+        "hello must be the first record on a connection" "request invalid"
+        ~respond
   | Ok env -> handle_env ?fill ~wire t env ~respond
-
-let reject_parse ~wire t msg ~respond =
-  let ctx = Rvu_obs.Ctx.generate () in
-  Rvu_obs.Ctx.with_ctx { cid = ctx; span = None } (fun () ->
-      count t `Error;
-      Rvu_obs.Log.warn ~fields:[ ("error", Wire.String msg) ] "request parse error";
-      respond (render_error ~wire ~ctx ~id:Wire.Null Proto.Parse_error msg))
-
-let note_oversized t bytes =
-  count t `Error;
-  Rvu_obs.Log.warn
-    ~fields:[ ("bytes", Wire.Int bytes) ]
-    "request rejected: oversized"
-
-let reject_oversized ~wire t bytes ~respond =
-  let ctx = Rvu_obs.Ctx.generate () in
-  Rvu_obs.Ctx.with_ctx { cid = ctx; span = None } (fun () ->
-      note_oversized t bytes;
-      respond
-        (render_error ~wire ~ctx ~id:Wire.Null Proto.Invalid_request
-           (Conn.too_large wire bytes ~limit:t.config.max_request_bytes)))
 
 let handle_slow ?fill ~wire t bytes ~respond =
   match Conn.decode wire bytes with
-  | Error msg -> reject_parse ~wire t msg ~respond
+  | Error msg ->
+      refuse ~wire t ~id:Wire.Null Proto.Parse_error msg "request parse error"
+        ~respond
   | Ok w -> handle_wire ?fill ~wire t w ~respond
 
 (* The excised id and trace of a frame-cache hit, read as the slow path
@@ -543,7 +534,7 @@ let handle ~wire t bytes ~respond =
     else bytes
   in
   if String.length bytes > t.config.max_request_bytes then
-    reject_oversized ~wire t (String.length bytes) ~respond
+    refuse_oversized ~wire t (String.length bytes) ~respond
   else handle_request ~wire t bytes ~respond
 
 let handle_line t line ~respond = handle ~wire:Wire_bin.Json t line ~respond
@@ -574,19 +565,19 @@ let frame_cache_stats t = Lru.stats t.frames
 (* ------------------------------------------------------------------ *)
 (* Transports *)
 
-let serve_channels ?wire t =
-  Conn.serve ?wire ~max_bytes:t.config.max_request_bytes
+let serve_channels t =
+  Conn.serve ~max_bytes:t.config.max_request_bytes
     ~on_hello:(fun ~t0 ->
       count t `Ok;
       log_response ~kind:"hello" ~t0 (Ok ());
       Rvu_obs.Metrics.observe (request_seconds "hello")
         (Rvu_obs.Clock.now_s () -. t0))
-    ~on_oversized:(note_oversized t) ~handle_line:(handle_line t)
-    ~handle_payload:(handle_payload t) ~wait_idle:(fun () -> wait_idle t)
+    ~handle:(fun wire bytes ~respond -> handle ~wire t bytes ~respond)
+    ~oversized:(fun wire bytes ~respond -> refuse_oversized ~wire t bytes ~respond)
 
-let serve_tcp ?wire t ~host ~port ?connections () =
+let serve_tcp t ~host ~port ?connections () =
   Conn.listen ~name:"rvu serve" ~host ~port ?connections
     ~run:(fun job -> job ())
-    (serve_channels ?wire t)
+    (serve_channels t)
 
 let stop t = Sched.stop t.sched

@@ -108,7 +108,11 @@ val frame_cache_stats : t -> Lru.stats
     path. *)
 
 val wait_idle : t -> unit
-(** Block until no submitted request is outstanding. *)
+(** Block until no request accepted through any entry point (every
+    session's, and the in-process calls') is outstanding: the
+    [in_flight] of {!stats_json} and the [rvu_server_in_flight] gauge
+    read the same count. A session does not wait on it; it drains only
+    its own answers ({!serve_channels}). *)
 
 val stats_json : t -> Wire.t
 (** The [stats] payload: request counters, in-flight depth, result-cache
@@ -127,31 +131,27 @@ val health_json : t -> Wire.t
     ([in_flight >= depth]) or any request was shed since the previous
     probe (each probe advances that mark). *)
 
-val serve_channels :
-  ?wire:Wire_bin.mode -> t -> in_channel -> out_channel -> unit
+val serve_channels : t -> in_channel -> out_channel -> unit
 (** One {!Conn.serve} session over {!handle_line}/{!handle_payload}:
-    serve until end-of-input, then drain outstanding requests and flush.
-    [wire] (default [Json]) is the connection's starting codec;
-    [~wire:Binary] is for peers pinned with [--wire binary]. The session's
+    serve until end-of-input, then flush and wait for this session's own
+    answers, not for other sessions' requests. The connection starts in
+    JSON; a first-record [hello] upgrades it to frames. The session's
     own answers are accounted here like requests: a first-record [hello]
     counts as ok and is timed into
-    [rvu_server_request_seconds{kind="hello"}], an oversized line or
-    length prefix counts as an error with a [warn] log record. *)
+    [rvu_server_request_seconds{kind="hello"}]. An oversized line or
+    length prefix is refused like any record the server does not accept
+    (a parse error, an invalid request, a mid-stream hello): answered
+    with a structured error, counted as an error with a [warn] log
+    record, and not timed. *)
 
 val serve_tcp :
-  ?wire:Wire_bin.mode ->
-  t ->
-  host:string ->
-  port:int ->
-  ?connections:int ->
-  unit ->
-  unit
+  t -> host:string -> port:int -> ?connections:int -> unit -> unit
 (** {!Conn.listen} as ["rvu serve"], serving one connection at a time to
-    completion (each runs {!serve_channels} with the same [wire]
-    starting codec; requests within a connection are still concurrent).
-    [connections] bounds how many connections to serve before returning
-    (default: serve forever). A connection error is logged and printed to
-    [stderr], and the accept loop continues. *)
+    completion (each runs {!serve_channels}; requests within a
+    connection are still concurrent). [connections] bounds how many
+    connections to serve before returning (default: serve forever). A
+    connection error is logged and printed to [stderr], and the accept
+    loop continues. *)
 
 val stop : t -> unit
 (** Drain and join the worker domains. *)

@@ -833,8 +833,8 @@ let worker_config =
 (* One in-process worker: a real Server behind a real TCP socket, exactly
    what the router talks to in production. serve_tcp returns after its
    single connection (the router's) closes. *)
-let spawn_worker port =
-  let server = Server.create ~config:worker_config () in
+let spawn_worker ?(config = worker_config) port =
+  let server = Server.create ~config () in
   let domain =
     Domain.spawn (fun () ->
         Server.serve_tcp server ~host:"127.0.0.1" ~port ~connections:1 ())
@@ -842,6 +842,38 @@ let spawn_worker port =
   (server, domain)
 
 let endpoint port = { Router.host = "127.0.0.1"; port; spawn = None }
+
+(* A stand-in shard on [port]: it accepts one connection and answers each
+   JSON line it can parse, [w], with [reply w] when that is [Some]. The
+   domain returns once the router closes the connection. *)
+let stand_in port reply =
+  let sock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Unix.setsockopt sock Unix.SO_REUSEADDR true;
+  Unix.bind sock (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
+  Unix.listen sock 1;
+  Domain.spawn (fun () ->
+      let fd, _ = Unix.accept sock in
+      let ic = Unix.in_channel_of_descr fd
+      and oc = Unix.out_channel_of_descr fd in
+      (try
+         while true do
+           Option.iter
+             (fun line -> Printf.fprintf oc "%s\n%!" line)
+             (Option.bind (Result.to_option (Wire.parse (input_line ic))) reply)
+         done
+       with End_of_file | Sys_error _ -> ());
+      Unix.close fd;
+      Unix.close sock)
+
+(* A ready health body under the router's id [w], as a stand-in answers. *)
+let ready w =
+  Some
+    (Printf.sprintf {|{"id":%s,"ctx":"shard","ok":{"status":"ready"}}|}
+       (Wire.print (Option.value (Wire.member "id" w) ~default:Wire.Null)))
+
+(* A stand-in that answers health probes and swallows everything else. *)
+let probes_only w =
+  if Wire.member "kind" w = Some (Wire.String "health") then ready w else None
 
 let stop_workers workers =
   List.iter
@@ -1013,28 +1045,11 @@ let test_router_binary_bit_identity () =
 let test_router_unscannable_reply () =
   let module Wb = Rvu_service.Wire_bin in
   let port = 7563 in
-  let sock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  Unix.setsockopt sock Unix.SO_REUSEADDR true;
-  Unix.bind sock (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
-  Unix.listen sock 1;
   let shard =
-    Domain.spawn (fun () ->
-        let fd, _ = Unix.accept sock in
-        let ic = Unix.in_channel_of_descr fd
-        and oc = Unix.out_channel_of_descr fd in
-        (try
-           while true do
-             let rid =
-               Option.bind (Result.to_option (Wire.parse (input_line ic)))
-                 (Wire.member "id")
-             in
-             Printf.fprintf oc
-               "{\"ctx\":\"shard\",\"id\":%s,\"ok\":{\"status\":\"ready\"}}\n%!"
-               (Wire.print (Option.value rid ~default:Wire.Null))
-           done
-         with End_of_file | Sys_error _ -> ());
-        Unix.close fd;
-        Unix.close sock)
+    stand_in port (fun w ->
+        Some
+          (Printf.sprintf {|{"ctx":"shard","id":%s,"ok":{"status":"ready"}}|}
+             (Wire.print (Option.value (Wire.member "id" w) ~default:Wire.Null))))
   in
   let config =
     {
@@ -1131,34 +1146,12 @@ let test_router_codec_matrix () =
 (* A retry after a route timeout gets the whole route timeout again, not
    what is left of the first attempt's. The stand-in shard answers health
    probes and swallows everything else, so with one shard the request
-   times out on its dispatch and on both retries (the ring re-picks the
-   shard, which stays ready) before it is shed: no sooner than three
-   timeouts after it was sent. *)
+   times out on its dispatch and on both retries (it is the only ready
+   shard, so each retry goes back to it) before it is shed: no sooner
+   than three timeouts after it was sent. *)
 let test_router_retry_gets_route_timeout () =
   let port = 7564 in
-  let sock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  Unix.setsockopt sock Unix.SO_REUSEADDR true;
-  Unix.bind sock (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
-  Unix.listen sock 1;
-  let shard =
-    Domain.spawn (fun () ->
-        let fd, _ = Unix.accept sock in
-        let ic = Unix.in_channel_of_descr fd
-        and oc = Unix.out_channel_of_descr fd in
-        (try
-           while true do
-             match Result.to_option (Wire.parse (input_line ic)) with
-             | Some w when Wire.member "kind" w = Some (Wire.String "health")
-               ->
-                 Printf.fprintf oc
-                   "{\"id\":%s,\"ctx\":\"shard\",\"ok\":{\"status\":\"ready\"}}\n%!"
-                   (Wire.print (Option.get (Wire.member "id" w)))
-             | _ -> ()
-           done
-         with End_of_file | Sys_error _ -> ());
-        Unix.close fd;
-        Unix.close sock)
-  in
+  let shard = stand_in port probes_only in
   let config =
     {
       Router.default_config with
@@ -1191,6 +1184,171 @@ let test_router_retry_gets_route_timeout () =
       check_int "retried twice" 2
         (int_at [ "router"; "requests"; "retried" ] ok);
       check_int "shed once" 1 (int_at [ "router"; "requests"; "shed" ] ok)
+
+(* A retry leaves the shard that timed it out. Two stand-in shards: the
+   request's home (its first choice on the ring) answers probes and
+   swallows everything else, the other answers every line. The request
+   times out once on its home and is answered by the other shard, after
+   one route timeout and one retry. *)
+let test_router_retry_leaves_timed_out_shard () =
+  let ports = [ 7571; 7572 ] in
+  let request = {|{"id":5,"kind":"schedule","rounds":2}|} in
+  let home = (Ring.order ~shards:2 ~parts:(Frame.routing_parts request)).(0) in
+  let shards =
+    List.mapi (fun i port -> stand_in port (if i = home then probes_only else ready)) ports
+  in
+  let config =
+    {
+      Router.default_config with
+      route_timeout_ms = 300.;
+      max_retries = 2;
+      connect_timeout_ms = 5000.;
+    }
+  in
+  let router = Router.create ~config ~endpoints:(List.map endpoint ports) () in
+  Fun.protect
+    ~finally:(fun () ->
+      Router.stop router;
+      List.iter Domain.join shards)
+  @@ fun () ->
+  (* The router's counters are the process's, so read their growth. *)
+  let counters () =
+    let ok =
+      Option.get
+        (Wire.member "ok"
+           (Result.get_ok (Wire.parse (Router.handle_sync router {|{"id":6,"kind":"stats"}|}))))
+    in
+    ( int_at [ "router"; "requests"; "retried" ] ok,
+      int_at [ "router"; "requests"; "shed" ] ok )
+  in
+  let retried, shed = counters () in
+  let t0 = Rvu_obs.Clock.now_s () in
+  let answer = Router.handle_sync router request in
+  let waited = Rvu_obs.Clock.now_s () -. t0 in
+  check_string "answered by the other shard"
+    {|{"id":5,"ctx":"req-5","ok":{"status":"ready"}}|} answer;
+  check_bool
+    (Printf.sprintf "after one route timeout (%.2f s)" waited)
+    true
+    (waited >= 0.25 && waited < 0.55);
+  let retried', shed' = counters () in
+  check_int "retried once" 1 (retried' - retried);
+  check_int "shed none" 0 (shed' - shed)
+
+(* With tracing on, a forward carries the router's id and a trace member:
+   72 bytes and the id's digits more than a JSON record, 84 more than a
+   binary one. The router's limit, max_request_bytes - envelope_bytes,
+   leaves room for both. A record at the limit is answered by the shard.
+   One past it, and one just under the shards' own limit (which a shard
+   would refuse under a null id the router cannot match), are refused at
+   once, naming the limit. So is a JSON record that fits the limit but
+   transcodes past it onto binary shards: its refusal names the frame
+   the router would forward, and keeps the record's id. *)
+let test_router_size_limit_traced () =
+  let module Wb = Rvu_service.Wire_bin in
+  let max_request_bytes = 256 in
+  let limit = max_request_bytes - Router.envelope_bytes in
+  let path = Filename.temp_file "rvu-test-trace" ".json" in
+  Fun.protect
+    ~finally:(fun () ->
+      Rvu_obs.Trace.close ();
+      try Sys.remove path with Sys_error _ -> ())
+  @@ fun () ->
+  Rvu_obs.Trace.enable ~path ();
+  (* A feasibility request padded with an extra member. *)
+  let doc pad =
+    Wire.Obj
+      [
+        ("id", Wire.Int 1);
+        ("kind", Wire.String "feasibility");
+        ("v", Wire.Float 2.0);
+        ("pad", pad);
+      ]
+  in
+  (* One of [n] bytes in [wire]. *)
+  let record wire n =
+    let base = String.length (Conn.encode wire (doc (Wire.String ""))) in
+    Conn.encode wire (doc (Wire.String (String.make (n - base) 'x')))
+  in
+  List.iter
+    (fun (shards, client, port) ->
+      let worker =
+        spawn_worker ~config:{ worker_config with max_request_bytes } port
+      in
+      let router =
+        Router.create
+          ~config:
+            {
+              Router.default_config with
+              max_request_bytes;
+              route_timeout_ms = 300.;
+              connect_timeout_ms = 5000.;
+              wire = shards;
+            }
+          ~endpoints:[ endpoint port ] ()
+      in
+      Fun.protect
+        ~finally:(fun () ->
+          Router.stop router;
+          stop_workers [ worker ])
+      @@ fun () ->
+      let label what =
+        Printf.sprintf "%s client on %s shards: %s" (Wb.mode_string client)
+          (Wb.mode_string shards) what
+      in
+      let call record =
+        let t0 = Rvu_obs.Clock.now_s () in
+        let answer =
+          match client with
+          | Wb.Json -> Router.handle_sync router record
+          | Wb.Binary -> Router.handle_payload_sync router record
+        in
+        (Result.get_ok (Conn.decode client answer), Rvu_obs.Clock.now_s () -. t0)
+      in
+      let refused what ?(id = Wire.Null) record mode bytes =
+        let answer, waited = call record in
+        check_bool (label (what ^ " refused at once")) true (waited < 0.25);
+        check_string
+          (label (what ^ " refusal"))
+          (Wire.print
+             (Wire.Obj
+                [
+                  ("id", id);
+                  ( "error",
+                    Wire.Obj
+                      [
+                        ("code", Wire.String "invalid_request");
+                        ( "message",
+                          Wire.String (Conn.too_large mode bytes ~limit) );
+                      ] );
+                ]))
+          (Wire.print
+             (Wire.Obj
+                (List.filter (fun (k, _) -> k <> "ctx")
+                   (match answer with Wire.Obj m -> m | _ -> []))))
+      in
+      if shards = client then begin
+        let answer, _ = call (record client limit) in
+        check_bool (label "a record at the limit answered ok") true
+          (Wire.member "ok" answer <> None);
+        List.iter
+          (fun n -> refused (Printf.sprintf "%d bytes" n) (record client n) client n)
+          [ max_request_bytes - 64; limit + 1 ]
+      end
+      else begin
+        (* Zeros: 2 bytes each in a JSON list, 9 as binary. *)
+        let zeros = Wire.List (List.init (limit / 3) (fun _ -> Wire.Int 0)) in
+        let r = Conn.encode client (doc zeros) in
+        check_bool (label "the record fits the limit") true (String.length r <= limit);
+        let forwarded =
+          String.length (Conn.encode shards (Result.get_ok (Conn.decode client r)))
+        in
+        check_bool (label "the transcode outgrows the limit") true (forwarded > limit);
+        refused "a transcode past the limit" ~id:(Wire.Int 1) r shards forwarded
+      end)
+    [
+      (Wb.Json, Wb.Json, 7573); (Wb.Binary, Wb.Binary, 7574); (Wb.Binary, Wb.Json, 7575);
+    ]
 
 (* ------------------------------------------------------------------ *)
 
@@ -1256,5 +1414,9 @@ let () =
             test_router_codec_matrix;
           Alcotest.test_case "a retry gets the whole route timeout" `Quick
             test_router_retry_gets_route_timeout;
+          Alcotest.test_case "a retry leaves the shard that timed it out" `Quick
+            test_router_retry_leaves_timed_out_shard;
+          Alcotest.test_case "a traced record fits the shards' limit" `Quick
+            test_router_size_limit_traced;
         ] );
     ]

@@ -1439,19 +1439,52 @@ let over_pipes serve f =
       close_in_noerr ic)
   @@ fun () -> f oc ic
 
-let with_conn ?wire config f =
+(* Hold [server]'s one worker (jobs = 1) until [k]'s release runs, or [k]
+   returns: a request whose answer blocks the worker that gives it, so
+   every request the pool takes after it waits — slow by construction,
+   whatever the caches hold. The release is idempotent; run [k] inside a
+   session, so that the session can drain before it is joined. *)
+let held server k =
+  let lock = Mutex.create () and released = Condition.create () in
+  let holding = ref true in
+  (* A fresh server's first request misses every cache, so the pool
+     answers it. *)
+  Server.handle_line server {|{"id":0,"kind":"feasibility","v":3.25}|}
+    ~respond:(fun _ ->
+      Mutex.lock lock;
+      while !holding do
+        Condition.wait released lock
+      done;
+      Mutex.unlock lock);
+  let release () =
+    Mutex.lock lock;
+    holding := false;
+    Condition.broadcast released;
+    Mutex.unlock lock
+  in
+  Fun.protect ~finally:release (fun () -> k release)
+
+(* A front end under test, built with a config: [k] gets a session opener
+   ([session f] runs one more session on the same front end, over its own
+   pipes) and the server that computes its answers (the front end
+   itself, or the router's shard). *)
+let with_server config k =
   let server = Server.create ~config () in
   Fun.protect ~finally:(fun () -> Server.stop server) @@ fun () ->
-  over_pipes (Server.serve_channels ?wire server) f
+  k (over_pipes (Server.serve_channels server)) server
 
-(* The same session through the cluster router, over one in-process
-   shard: a real Server behind a real TCP socket, as in test_cluster.
-   Each session takes its own port. *)
+(* The cluster router over one in-process shard: a real Server behind a
+   real TCP socket, as in test_cluster. Each front end takes its own
+   port. Both limits are raised by the router's envelope, so the router
+   refuses past [config]'s limit, as a server does. *)
 let routed_port = Atomic.make 7701
 
-let with_routed_conn config f =
+let with_router config k =
   let port = Atomic.fetch_and_add routed_port 1 in
-  let shard = Server.create ~config () in
+  let max_request_bytes =
+    config.Server.max_request_bytes + Router.envelope_bytes
+  in
+  let shard = Server.create ~config:{ config with max_request_bytes } () in
   let worker =
     Domain.spawn (fun () ->
         Server.serve_tcp shard ~host:"127.0.0.1" ~port ~connections:1 ())
@@ -1459,11 +1492,7 @@ let with_routed_conn config f =
   let router =
     Router.create
       ~config:
-        {
-          Router.default_config with
-          max_request_bytes = config.Server.max_request_bytes;
-          connect_timeout_ms = 5000.;
-        }
+        { Router.default_config with max_request_bytes; connect_timeout_ms = 5000. }
       ~endpoints:[ { Router.host = "127.0.0.1"; port; spawn = None } ]
       ()
   in
@@ -1472,7 +1501,10 @@ let with_routed_conn config f =
       Router.stop router;
       Domain.join worker;
       Server.stop shard)
-  @@ fun () -> over_pipes (Router.serve_channels router) f
+  @@ fun () -> k (over_pipes (Router.serve_channels router)) shard
+
+(* One session on a fresh front end. *)
+let with_conn config f = with_server config (fun session _ -> session f)
 
 let conn_config =
   {
@@ -1499,15 +1531,14 @@ let upgrade oc ic =
   check_bool "hello acknowledged in JSON" true
     (Wire.member "ok" hello = Some (Wire.Obj [ ("wire", Wire.String "binary") ]))
 
-(* A front end runs one session with a config: [with_conn] for the server
-   (with or without a pinned start), [with_routed_conn] for the router. *)
-let pinned config f = with_conn ~wire:Wb.Binary config f
+(* A front end runs one session with a config ([with_conn] for the
+   server); [upgraded front] runs it past the hello. *)
 let upgraded front config f = front config (fun oc ic -> upgrade oc ic; f oc ic)
 
 (* A connection that dies inside the 4-byte length prefix: nothing to
    answer, nothing to desync — the server closes cleanly. *)
 let test_frame_truncated_prefix () =
-  pinned conn_config @@ fun oc ic ->
+  upgraded with_conn conn_config @@ fun oc ic ->
   output_string oc "\x00\x00";
   close_out oc;
   expect_eof ic "a truncated length prefix"
@@ -1573,21 +1604,6 @@ let case_hello_upgrade front () =
   match Wb.input_frame ic with
   | Wb.Eof -> ()
   | _ -> Alcotest.fail "upgraded connection did not close cleanly"
-
-(* The same hello against a server pinned with --wire binary: the sniffed
-   '{' falls the connection back to line discipline and the upgrade still
-   lands — a negotiating client cannot tell the deployments apart. *)
-let test_frame_hello_against_pinned_binary () =
-  upgraded pinned conn_config @@ fun oc ic ->
-  let doc = Result.get_ok (Wire.parse {|{"id":4,"kind":"schedule","rounds":2}|}) in
-  Wb.output_frame oc (Wb.encode doc);
-  flush oc;
-  (match Wb.input_frame ic with
-  | Wb.Frame p ->
-      check_bool "request served over frames" true
-        (error_code (decode_bin_exn p) = None)
-  | _ -> Alcotest.fail "no framed response from the pinned server");
-  close_out oc
 
 (* A client that upgrades and then forgets, sending a JSON line where a
    frame belongs: its '{' reads as a ~2 GiB length prefix, which trips
@@ -1734,33 +1750,204 @@ let case_cold_answer_flushed front () =
 
 (* A sync answer that shares a read with a slow simulate leaves when the
    session next waits, not when the simulate is done: the first bytes to
-   arrive are exactly the health answer. The simulate (identical robots,
-   so infeasible, scanned to a short horizon) takes a few hundred ms. *)
-let case_sync_answer_first front () =
-  on_both_wires front conn_config @@ fun wire oc ic ->
-  output_string oc
-    (framed wire (payload_of wire {|{"id":1,"kind":"simulate","d":2,"r":0.1,"horizon":4e5}|})
-    ^ framed wire (payload_of wire {|{"id":2,"kind":"health"}|}));
-  flush oc;
-  let fd = Unix.descr_of_in_channel ic in
-  check_bool "an answer within 10 s" true (readable fd 10.0);
-  let buf = Bytes.create 65536 in
-  let got = Bytes.sub_string buf 0 (Unix.read fd buf 0 65536) in
-  let n = String.length got in
-  let payload =
-    match wire with
-    | Wb.Json when n > 0 && String.index got '\n' = n - 1 -> String.sub got 0 (n - 1)
-    | Wb.Binary when n >= 4 && String.get_int32_be got 0 = Int32.of_int (n - 4) ->
-        String.sub got 4 (n - 4)
-    | _ -> Alcotest.failf "the first bytes are not one answer: %S" got
+   arrive are exactly the health answer. The simulate waits behind a
+   held worker until they have. *)
+let case_sync_answer_first backend () =
+  List.iter
+    (fun wire ->
+      backend conn_config @@ fun session worker ->
+      session @@ fun oc ic ->
+      if wire = Wb.Binary then upgrade oc ic;
+      held worker @@ fun release ->
+      output_string oc
+        (framed wire
+           (payload_of wire
+              {|{"id":1,"kind":"simulate","tau":0.5,"d":1.5,"r":0.5,"bearing":0}|})
+        ^ framed wire (payload_of wire {|{"id":2,"kind":"health"}|}));
+      flush oc;
+      let fd = Unix.descr_of_in_channel ic in
+      check_bool "an answer within 10 s" true (readable fd 10.0);
+      let buf = Bytes.create 65536 in
+      let got = Bytes.sub_string buf 0 (Unix.read fd buf 0 65536) in
+      let n = String.length got in
+      let payload =
+        match wire with
+        | Wb.Json when n > 0 && String.index got '\n' = n - 1 -> String.sub got 0 (n - 1)
+        | Wb.Binary when n >= 4 && String.get_int32_be got 0 = Int32.of_int (n - 4) ->
+            String.sub got 4 (n - 4)
+        | _ -> Alcotest.failf "the first bytes are not one answer: %S" got
+      in
+      check_int "the health answer came first, alone" 2 (answer_id wire payload);
+      release ();
+      let answer = recv wire ic in
+      check_int "then the simulate's" 1 (answer_id wire answer);
+      check_bool "answered ok" true
+        (error_code (Result.get_ok (Rvu_service.Conn.decode wire answer)) = None);
+      close_out oc;
+      expect_eof ic "both answers")
+    [ Wb.Json; Wb.Binary ]
+
+(* Two sessions share a front end. Session A's simulate waits behind a
+   held worker; its health answer shows the simulate was handed over.
+   Session B sends a health request and ends its input: B's session ends
+   at once, while A's request is still outstanding, since a session
+   drains only its own answers. *)
+let case_drain_own_answers backend () =
+  backend conn_config @@ fun session worker ->
+  session @@ fun oc_a ic_a ->
+  held worker @@ fun release ->
+  output_string oc_a
+    ({|{"id":1,"kind":"simulate","tau":0.5,"d":1.5,"r":0.5,"bearing":0}|}
+    ^ "\n" ^ {|{"id":2,"kind":"health"}|} ^ "\n");
+  flush oc_a;
+  check_int "A's health answer" 2 (answer_id Wb.Json (input_line ic_a));
+  (session @@ fun oc_b ic_b ->
+   (* Released however B's checks go, so that B's session can end. *)
+   Fun.protect ~finally:release @@ fun () ->
+   output_string oc_b ({|{"id":3,"kind":"health"}|} ^ "\n");
+   close_out oc_b;
+   check_int "B's health answer" 3 (answer_id Wb.Json (input_line ic_b));
+   check_bool "B's session ends within 5 s" true
+     (readable (Unix.descr_of_in_channel ic_b) 5.0);
+   expect_eof ic_b "B's answer";
+   check_bool "A's simulate is still outstanding" false
+     (readable (Unix.descr_of_in_channel ic_a) 0.0));
+  let answer = input_line ic_a in
+  check_int "then A's simulate" 1 (answer_id Wb.Json answer);
+  check_bool "answered ok" true (error_code (Result.get_ok (Wire.parse answer)) = None);
+  close_out oc_a;
+  expect_eof ic_a "A's answers"
+
+(* Every refusal — a parse error, an invalid request (not an object, a
+   bad id, a bad fan-out member), a mid-stream hello and an oversized
+   record — answers the same bytes from both front ends on both wires,
+   counts as an error on a server (a router's own refusals reach no
+   shard, so its shards count none) and logs its front end's message:
+   the bytes and messages [rvu serve] and [rvu router] gave before they
+   shared one refusal path each. A null id's ctx is the first generated
+   under seed 0. *)
+let test_refusals () =
+  let null_ctx = "ce220a8397b1dcdaf" in
+  let refused ?(id = "null") ?(ctx = null_ctx) code msg =
+    Printf.sprintf {|{"id":%s,"ctx":"%s","error":{"code":"%s","message":%s}}|}
+      id ctx code (Wire.print (Wire.String msg))
   in
-  check_int "the health answer came first, alone" 2 (answer_id wire payload);
-  let answer = recv wire ic in
-  check_int "then the simulate's" 1 (answer_id wire answer);
-  check_bool "answered ok" true
-    (error_code (Result.get_ok (Rvu_service.Conn.decode wire answer)) = None);
-  close_out oc;
-  expect_eof ic "both answers"
+  let invalid ?id ?ctx msg = refused ?id ?ctx "invalid_request" msg in
+  let refusals wire =
+    let record doc = payload_of wire doc in
+    [
+      ( (match wire with Wb.Json -> "not json" | Wb.Binary -> "\xff"),
+        refused "parse_error"
+          (match wire with
+          | Wb.Json -> "line 1, col 1: invalid literal (expected null)"
+          | Wb.Binary -> "offset 0: unknown tag 0xff"),
+        `Parse );
+      (record "[1]", invalid "expected a request object, got array", `Invalid);
+      ( record {|{"id":1.5,"kind":"health"}|},
+        invalid {|field "id": expected an integer or string, got number|},
+        `Invalid );
+      ( record {|{"id":5,"kind":"hello","wire":"binary"}|},
+        invalid ~id:"5" ~ctx:"req-5" "hello must be the first record on a connection",
+        `Invalid );
+      ( record {|{"id":6,"kind":"metrics","format":"nope"}|},
+        invalid ~id:"6" ~ctx:"req-6"
+          {|field "format": expected "json" or "prometheus", got "nope"|},
+        `Invalid );
+    ]
+  in
+  let oversized wire =
+    match wire with
+    | Wb.Json -> ({|{"id":7,"pad":"|} ^ String.make 300 'x' ^ {|"}|}, 317)
+    | Wb.Binary -> (String.make 300 'x', 300)
+  in
+  Log.configure ~level:Log.Warn (Log.Ring 256);
+  Fun.protect ~finally:Log.close @@ fun () ->
+  List.iter
+    (fun (front, backend, log, errors) ->
+      List.iter
+        (fun wire ->
+          backend { conn_config with Server.max_request_bytes = 256 }
+          @@ fun session _ ->
+          let expect what record answer kind ic =
+            let seen = List.length (Log.ring_contents ()) in
+            Rvu_obs.Ctx.set_seed 0;
+            record ();
+            let label = Printf.sprintf "%s, %s wire: %s" front (Wb.mode_string wire) what in
+            check_string (label ^ " answer") answer (recv wire ic);
+            let logged =
+              List.filteri (fun i _ -> i >= seen) (Log.ring_contents ())
+              |> List.filter_map (fun l ->
+                     match log_field "msg" l with
+                     | Some (Wire.String m) -> Some (m, l)
+                     | _ -> None)
+            in
+            match (log kind, logged) with
+            | None, [] -> ()
+            | Some (msg, field, value), [ (m, l) ] ->
+                check_string (label ^ " log message") msg m;
+                check_bool (label ^ " log field " ^ field) true
+                  (log_field field l = Some value)
+            | _ -> Alcotest.failf "%s: %d log records" label (List.length logged)
+          in
+          (session @@ fun oc ic ->
+           if wire = Wb.Binary then upgrade oc ic;
+           List.iter
+             (fun (record, answer, kind) ->
+               let msg =
+                 match Wire.parse answer with
+                 | Ok w -> Option.bind (Wire.member "error" w) (Wire.member "message")
+                 | Error _ -> None
+               in
+               expect (String.escaped record)
+                 (fun () ->
+                   output_string oc (framed wire record);
+                   flush oc)
+                 (Rvu_service.Conn.encode wire (Result.get_ok (Wire.parse answer)))
+                 (kind, Option.get msg) ic)
+             (refusals wire);
+           let big, bytes = oversized wire in
+           let msg = Rvu_service.Conn.too_large wire bytes ~limit:256 in
+           expect "an oversized record"
+             (fun () ->
+               output_string oc (framed wire big);
+               flush oc)
+             (Rvu_service.Conn.encode wire (Result.get_ok (Wire.parse (invalid msg))))
+             (`Oversized bytes, Wire.String msg) ic;
+           close_out oc);
+          session @@ fun oc ic ->
+          output_string oc ({|{"id":8,"kind":"stats"}|} ^ "\n");
+          close_out oc;
+          let stats = Option.get (Wire.member "ok" (Result.get_ok (Wire.parse (input_line ic)))) in
+          let count =
+            match
+              List.fold_left
+                (fun w k -> Option.bind w (Wire.member k))
+                (Some stats) errors
+            with
+            | Some (Wire.Int n) -> n
+            | _ -> Alcotest.failf "%s: no errors count" front
+          in
+          check_int
+            (Printf.sprintf "%s, %s wire: errors counted" front (Wb.mode_string wire))
+            (if front = "server" then 6 else 0)
+            count)
+        [ Wb.Json; Wb.Binary ])
+    [
+      ( "server",
+        with_server,
+        (function
+        | `Parse, m -> Some ("request parse error", "error", m)
+        | `Invalid, m -> Some ("request invalid", "error", m)
+        | `Oversized bytes, _ -> Some ("request rejected: oversized", "bytes", Wire.Int bytes)),
+        [ "requests"; "errors" ] );
+      ( "router",
+        with_router,
+        (function
+        | `Parse, m -> Some ("request parse error", "error", m)
+        | `Invalid, m -> Some ("request rejected", "error", m)
+        | `Oversized _, _ -> None),
+        [ "aggregate"; "requests"; "errors" ] );
+    ]
 
 (* A line past max_request_bytes is counted to its newline, never held
    whole: answered invalid_request with its full length, and the next
@@ -1872,32 +2059,35 @@ let test_sockets_close_on_exec () =
     (Printf.sprintf "the child held no socket (held %s)" (String.concat ", " !spawned))
     true (!spawned = [])
 
-(* The cases every front end's session must pass. *)
-let battery front =
+(* The cases every front end's session must pass, given the front end
+   ([with_server] or [with_router]). *)
+let battery backend =
+  let front config f = backend config (fun session _ -> session f) in
   List.map
-    (fun (name, case) -> Alcotest.test_case name `Quick (case front))
+    (fun (name, case) -> Alcotest.test_case name `Quick case)
     [
-      ("binary frame on a JSON connection", case_binary_on_json_conn);
-      ("hello upgrade serves frames", case_hello_upgrade);
-      ("JSON line after upgrade answers and closes", case_json_line_after_upgrade);
-      ("mid-stream hello rejected", case_midstream_hello_rejected);
+      ("binary frame on a JSON connection", case_binary_on_json_conn front);
+      ("hello upgrade serves frames", case_hello_upgrade front);
+      ("JSON line after upgrade answers and closes", case_json_line_after_upgrade front);
+      ("mid-stream hello rejected", case_midstream_hello_rejected front);
       ( "oversized length after upgrade answers and closes",
-        fun front -> case_oversized_length (upgraded front) );
-      ( "mid-frame drop after upgrade closes cleanly",
-        fun front -> case_midframe_drop (upgraded front) );
-      ("a burst in one write, answered once each", case_burst);
-      ("a cold answer flushed with the input open", case_cold_answer_flushed);
-      ("a sync answer leaves before a slow one", case_sync_answer_first);
-      ("an oversized line answers and resyncs", case_oversized_line);
+        case_oversized_length (upgraded front) );
+      ("mid-frame drop after upgrade closes cleanly", case_midframe_drop (upgraded front));
+      ("a burst in one write, answered once each", case_burst front);
+      ("a cold answer flushed with the input open", case_cold_answer_flushed front);
+      ("a sync answer leaves before a slow one", case_sync_answer_first backend);
+      ("an oversized line answers and resyncs", case_oversized_line front);
+      ("a session drains only its own answers", case_drain_own_answers backend);
     ]
 
 (* Results that overflow a double. A bound with τ within 1e-4 of 1 has an
    infinite Theorem 3 time, answered null next to its exact round; a
    schedule past round ~1000 has infinite phase times that no wire can
    carry, answered [internal]. Three copies per wire through one session
-   — cold, from the result cache, from the frame cache — each get one
-   answer, byte-equal to a fresh server's, and the session still ends at
-   end of input (a request left unanswered would hang its drain). *)
+   (upgraded by the hello for frames) — cold, from the result cache, from
+   the frame cache — each get one answer, byte-equal to a fresh server's,
+   and the session still ends at end of input (a request left unanswered
+   would hang its drain). *)
 let test_overflowing_results_answered () =
   let module Conn = Rvu_service.Conn in
   let docs =
@@ -1922,7 +2112,8 @@ let test_overflowing_results_answered () =
               = Some (Wire.Obj [ ("round", Wire.Int 7313); ("time", Wire.Null) ]));
           let server = Server.create ~config:conn_config () in
           Fun.protect ~finally:(fun () -> Server.stop server) @@ fun () ->
-          over_pipes (Server.serve_channels ~wire server) @@ fun oc ic ->
+          over_pipes (Server.serve_channels server) @@ fun oc ic ->
+          if wire = Wb.Binary then upgrade oc ic;
           for copy = 1 to 3 do
             Rvu_obs.Ctx.set_seed 0;
             Conn.write wire oc record;
@@ -2067,12 +2258,8 @@ let () =
         [
           Alcotest.test_case "truncated length prefix" `Quick
             test_frame_truncated_prefix;
-          Alcotest.test_case "oversized length answers and closes" `Quick
-            (case_oversized_length pinned);
-          Alcotest.test_case "mid-frame drop closes cleanly" `Quick
-            (case_midframe_drop pinned);
-          Alcotest.test_case "hello against a pinned-binary server" `Quick
-            test_frame_hello_against_pinned_binary;
+          Alcotest.test_case "refusals keep their bytes, count and log" `Quick
+            test_refusals;
           Alcotest.test_case "overflowing results answered on both wires"
             `Quick test_overflowing_results_answered;
           Alcotest.test_case "schedule's last round on both wires" `Quick
@@ -2082,6 +2269,6 @@ let () =
           Alcotest.test_case "sockets are close-on-exec" `Quick
             test_sockets_close_on_exec;
         ]
-        @ battery (fun config f -> with_conn config f) );
-      ("routed transport", battery with_routed_conn);
+        @ battery with_server );
+      ("routed transport", battery with_router);
     ]
