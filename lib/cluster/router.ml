@@ -210,13 +210,17 @@ let take_locked (sh : shard) rid =
       if sh.probe_rid = Some rid then sh.probe_rid <- None;
       Some p
 
+(* Warn about a routed request under its own context, as the server logs
+   its requests, so the record carries the request's correlation id. *)
+let warn_about (r : routed) ~fields msg =
+  Ctx.with_ctx r.r_ctx (fun () -> Log.warn ~fields msg)
+
 (* Answer a routed request and close it out under its context, so the
    latency observation's exemplar points at the trace that produced it.
-   With tracing on it also emits the forward span: an 'X' complete event,
-   because the span begins on the client connection's domain and resolves
-   on the shard reader's, so B/E pairs cannot pair up. The shard's serve
-   span is parented under this span's id, which is the join
-   [rvu trace-merge] re-parents on. *)
+   With tracing on it also emits the forward span, which begins on the
+   client connection's domain and resolves on the shard reader's. The
+   shard's serve span is parented under this span's id, which is the
+   join [rvu trace-merge] re-parents on. *)
 let complete t ?shard (r : routed) response =
   r.r_respond response;
   let dt = Clock.now_s () -. r.r_t0 in
@@ -278,18 +282,13 @@ and redispatch ?avoid t (r : routed) =
   if r.r_retries > t.config.max_retries then shed t r "shard retries exhausted"
   else begin
     Metrics.incr t.m_retried;
-    Log.warn
-      ~fields:
-        [ ("ctx", Wire.String r.r_ctx.cid); ("retries", Wire.Int r.r_retries) ]
-      "request rerouted";
+    warn_about r ~fields:[ ("retries", Wire.Int r.r_retries) ] "request rerouted";
     dispatch ?avoid t r
   end
 
 and shed t (r : routed) reason =
   Metrics.incr t.m_shed;
-  Log.warn
-    ~fields:[ ("ctx", Wire.String r.r_ctx.cid); ("reason", Wire.String reason) ]
-    "request shed";
+  warn_about r ~fields:[ ("reason", Wire.String reason) ] "request shed";
   complete t r
     (Conn.encode r.r_client
        (Proto.error_response ~ctx:r.r_ctx.cid ~id:r.r_id Proto.Overloaded
@@ -592,9 +591,7 @@ let supervisor_loop t =
         List.iter
           (function
             | Routed r ->
-                Log.warn
-                  ~fields:
-                    (shard_fields sh @ [ ("ctx", Wire.String r.r_ctx.cid) ])
+                warn_about r ~fields:(shard_fields sh)
                   "request timed out on shard";
                 redispatch ~avoid:sh.index t
                   { r with r_retries = r.r_retries + 1 }
@@ -749,12 +746,17 @@ let limit t = max 0 (t.config.max_request_bytes - envelope_bytes)
 
 (* A refusal: the answer to a client record the router does not route —
    one that does not parse, is not a valid request or is a mid-stream
-   hello (each logged as [log]), or one past the size limit. [id] is the
-   record's own, when it carried a usable one. *)
+   hello (each logged as [log], under the correlation id its answer
+   carries), or one past the size limit. [id] is the record's own, when
+   it carried a usable one. *)
 let refuse ~client ~respond ?(id = Wire.Null) ?log code msg =
-  Option.iter (Log.warn ~fields:[ ("error", Wire.String msg) ]) log;
-  respond
-    (Conn.encode client (Proto.error_response ~ctx:(Ctx.derive id) ~id code msg))
+  let ctx = Ctx.derive id in
+  Option.iter
+    (fun log ->
+      Ctx.with_ctx { cid = ctx; span = None } (fun () ->
+          Log.warn ~fields:[ ("error", Wire.String msg) ] log))
+    log;
+  respond (Conn.encode client (Proto.error_response ~ctx ~id code msg))
 
 (* A record of [bytes] bytes in [mode] past the size limit. *)
 let refuse_oversized t ~client ~respond ?id mode bytes =
@@ -821,9 +823,11 @@ let route_parsed t ~client ~bytes w ~respond =
             in
             let id_bytes = Conn.encode t.config.wire id in
             let ctx_bytes = Conn.encode t.config.wire (Wire.String ctx) in
-            Log.debug
-              ~fields:[ ("ctx", Wire.String ctx); ("kind", Wire.String kind) ]
-              "request accepted";
+            let c = { Ctx.cid = ctx; span } in
+            if Log.enabled Log.Debug then
+              Ctx.with_ctx c (fun () ->
+                  Log.debug ~fields:[ ("kind", Wire.String kind) ]
+                    "request accepted");
             dispatch t
               {
                 r_pre = pre;
@@ -832,7 +836,7 @@ let route_parsed t ~client ~bytes w ~respond =
                 r_client = client;
                 r_id = id;
                 r_id_bytes = id_bytes;
-                r_ctx = { cid = ctx; span };
+                r_ctx = c;
                 r_ctx_bytes = ctx_bytes;
                 r_kind = kind;
                 r_t0 = Clock.now_s ();

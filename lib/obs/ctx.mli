@@ -39,18 +39,15 @@ val current : unit -> t option
 
 val derive : Wire.t -> string
 (** The correlation id for a request envelope id: ["req-<n>"] for
-    [Int n], ["req-<s>"] for [String s], a {!generate}d id for any other
-    shape (including [Null]). *)
-
-val generate : unit -> string
-(** A fresh id ["c<16 hex digits>"]: the next output of a process-global
-    SplitMix64 stream. Under the default seed the sequence is identical
-    in every process, which keeps ids pinnable in cram tests. Processes
-    that run side by side must not share a sequence — identical [c<hex>]
-    strings would name different requests in a merged log or trace — so
-    [rvu serve --tcp P] and [rvu router --tcp P] call [set_seed P]:
-    ports are distinct per host, which separates spawned workers and
-    [--connect] shards alike. *)
+    [Int n], ["req-<s>"] for [String s], and for any other shape
+    (including [Null]) a fresh id ["c<16 hex digits>"]: the next output
+    of a process-global SplitMix64 stream. Under the default seed the
+    sequence is identical in every process, which keeps ids pinnable in
+    cram tests. Processes that run side by side must not share a
+    sequence — identical [c<hex>] strings would name different requests
+    in a merged log or trace — so [rvu serve --tcp P] and
+    [rvu router --tcp P] call [set_seed P]: ports are distinct per host,
+    which separates spawned workers and [--connect] shards alike. *)
 
 val set_seed : int -> unit
 (** Reseed the correlation-id stream and reset its counter. *)
@@ -61,7 +58,7 @@ val new_root : unit -> span
 (** A fresh trace: new trace id, new span id, no parent. Span ids come
     from their own stream, seeded from the pid and the monotonic clock so
     that processes started together never collide; tracing therefore
-    never shifts the {!generate} sequence. *)
+    never shifts the generated correlation-id sequence. *)
 
 val child_of : span -> span
 (** Same trace id, fresh span id, parented under [parent]'s span. *)

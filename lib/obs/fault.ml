@@ -23,8 +23,6 @@ let with_lock f =
   Mutex.lock lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock lock) f
 
-let name s = s.site_name
-
 let site site_name =
   with_lock (fun () ->
       match Hashtbl.find_opt registry site_name with

@@ -36,8 +36,6 @@ val site : string -> site
     Idempotent: the same name always yields the same handle, so the
     producing module and the campaign can both name it independently. *)
 
-val name : site -> string
-
 val fire : site -> bool
 (** [fire s] decides whether this call injects. [false] whenever the
     registry is disarmed or the site's probability is 0 (the fast path);

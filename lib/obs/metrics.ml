@@ -24,7 +24,6 @@ type metric = C of counter | G of gauge | H of histogram
    record keeps disabled-mode cost to one branch. *)
 let switch = Atomic.make true
 let set_enabled b = Atomic.set switch b
-let enabled () = Atomic.get switch
 
 (* ------------------------------------------------------------------ *)
 (* Registry *)
@@ -81,15 +80,7 @@ let gauge ?(help = "") ?(labels = []) name =
 (* ------------------------------------------------------------------ *)
 (* Buckets *)
 
-let exponential_buckets ~lo ~factor ~count =
-  if not (Float.is_finite lo && lo > 0.0) then
-    invalid_arg "Metrics.exponential_buckets: lo must be positive and finite";
-  if not (Float.is_finite factor && factor > 1.0) then
-    invalid_arg "Metrics.exponential_buckets: factor must be > 1";
-  if count < 1 then invalid_arg "Metrics.exponential_buckets: count < 1";
-  Array.init count (fun i -> lo *. (factor ** float_of_int i))
-
-let default_buckets = exponential_buckets ~lo:1e-6 ~factor:2.5 ~count:16
+let default_buckets = Array.init 16 (fun i -> 1e-6 *. (2.5 ** float_of_int i))
 
 let check_bounds bounds =
   let n = Array.length bounds in
@@ -211,7 +202,6 @@ let locked_h h f =
   Fun.protect ~finally:(fun () -> Mutex.unlock h.h_lock) f
 
 let histogram_count h = locked_h h (fun () -> h.h_count)
-let histogram_sum h = locked_h h (fun () -> h.h_sum)
 
 let quantile h q =
   if not (0.0 <= q && q <= 1.0) then

@@ -67,10 +67,6 @@ val default_buckets : float array
 (** Exponential bounds suited to seconds-scale durations:
     [1e-6 … ~100] in steps of [×2.5] (16 bounds). *)
 
-val exponential_buckets : lo:float -> factor:float -> count:int -> float array
-(** [count] bounds starting at [lo > 0], each [factor > 1] times the
-    previous. Raises [Invalid_argument] on bad parameters. *)
-
 (** {1 Recording} *)
 
 val incr : ?by:int -> counter -> unit
@@ -92,7 +88,6 @@ val observe : histogram -> float -> unit
 val counter_value : counter -> int
 val gauge_value : gauge -> float
 val histogram_count : histogram -> int
-val histogram_sum : histogram -> float
 
 val quantile : histogram -> float -> float
 (** [quantile h q] (with [q] in [\[0, 1\]]) estimates the [q]-quantile
@@ -192,5 +187,3 @@ val set_enabled : bool -> unit
 (** Default [true]. When [false], {!incr}, {!gauge_set}, {!gauge_add}
     and {!observe} return after one branch ({!private_histogram}s keep
     recording — see above). *)
-
-val enabled : unit -> bool

@@ -1,6 +1,6 @@
 (** Runtime telemetry: GC and domain statistics as metrics and JSON.
 
-    {!sample} folds [Gc.quick_stat] into the process-global {!Metrics}
+    Each sample folds [Gc.quick_stat] into the process-global {!Metrics}
     registry — counters [rvu_gc_minor_collections_total],
     [rvu_gc_major_collections_total], [rvu_gc_compactions_total]
     (incremented by delta against the previous sample, so they stay
@@ -11,12 +11,9 @@
     {!json} serves the same numbers as the [runtime] section of the
     server's [stats] response. *)
 
-val sample : unit -> Gc.stat
-(** Take one [Gc.quick_stat] sample, update the metrics, and return it.
-    Safe from any domain (the delta state is mutex-guarded). *)
-
 val json : unit -> Wire.t
-(** A fresh sample as
+(** A fresh sample, safe from any domain (the delta state is
+    mutex-guarded), as
     [{"minor_collections":…,"major_collections":…,"compactions":…,
       "heap_words":…,"top_heap_words":…,"minor_words":…,
       "recommended_domains":…,"uptime_s":…}].
@@ -25,7 +22,7 @@ val json : unit -> Wire.t
 
 val start : ?interval_s:float -> ?major_pace_warn:float -> unit -> unit
 (** Spawn the sampler domain: every [interval_s] seconds (default [5.])
-    call {!sample} and emit a [warn] record when major collections per
+    take a sample and emit a [warn] record when major collections per
     second since the previous tick exceed [major_pace_warn] (default
     [10.]). No-op if a sampler is already running. Raises
     [Invalid_argument] on a non-positive interval.

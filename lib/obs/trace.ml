@@ -1,11 +1,11 @@
 type event = {
   name : string;
-  ph : char; (* 'B' begin, 'E' end, 'i' instant, 'X' complete *)
   ts : float; (* microseconds, monotonic *)
-  dur : float; (* microseconds; only meaningful for 'X' events *)
+  dur : float; (* microseconds *)
   tid : int;
   seq : int; (* recording order, process-wide — retention dedup key *)
   args : (string * Wire.t) list;
+  ctx : Ctx.t option; (* the request context ambient at record time *)
 }
 
 type sink = {
@@ -16,8 +16,6 @@ type sink = {
   mutable recorded : int; (* total events ever recorded *)
   mutable kept : event list; (* force-retained copies (slow requests) *)
 }
-
-type span = Disabled | Span of { name : string }
 
 (* ------------------------------------------------------------------ *)
 (* Recording *)
@@ -33,12 +31,22 @@ let m_dropped =
     ~help:"Trace ring events overwritten before the file was written."
     "rvu_trace_dropped_total"
 
-let record ~name ~ph ~ts ~dur ~tid args =
+(* Complete ('X') events carry begin and duration in one record, so the
+   two ends need not land on the same domain — the router's forward span
+   begins on the client-connection domain and resolves on the shard
+   reader domain. The event keeps the ambient context as the value
+   [Ctx.current] returns, so recording copies nothing out of it; [close]
+   turns it into args. *)
+let complete ?(args = []) ?tid:(tid_arg = -1) ~ts_us ~dur_us name =
   match Atomic.get sink with
   | None -> ()
   | Some s ->
+      let tid = if tid_arg >= 0 then tid_arg else (Domain.self () :> int) in
+      let ctx = Ctx.current () in
       Mutex.lock s.lock;
-      let ev = { name; ph; ts; dur; tid; seq = s.recorded; args } in
+      let ev =
+        { name; ts = ts_us; dur = dur_us; tid; seq = s.recorded; args; ctx }
+      in
       (match s.ring.(s.next) with
       | Some _ -> Metrics.incr m_dropped
       | None -> ());
@@ -47,76 +55,15 @@ let record ~name ~ph ~ts ~dur ~tid args =
       s.recorded <- s.recorded + 1;
       Mutex.unlock s.lock
 
-let tid () = (Domain.self () :> int)
-
-(* Events recorded while a request context is ambient carry its
-   correlation id as a ["ctx"] arg, so a log grep and a trace lane meet on
-   the same string, and its span context as trace_id/span_id/parent_id,
-   which is what the trace stitcher joins on. Only consulted when tracing
-   is on — the disabled path is unchanged. *)
-let stamp args =
-  match Ctx.current () with
-  | None -> args
-  | Some c -> (
-      let args =
-        if List.mem_assoc "ctx" args then args
-        else args @ [ ("ctx", Wire.String c.Ctx.cid) ]
-      in
-      match c.Ctx.span with
-      | Some sc when not (List.mem_assoc "trace_id" args) ->
-          args
-          @ ("trace_id", Wire.String sc.Ctx.trace_id)
-            :: ("span_id", Wire.String sc.Ctx.span_id)
-            ::
-            (match sc.Ctx.parent_id with
-            | None -> []
-            | Some p -> [ ("parent_id", Wire.String p) ])
-      | _ -> args)
-
-let begin_span ?(args = []) name =
-  if Atomic.get sink = None then Disabled
-  else begin
-    record ~name ~ph:'B' ~ts:(Clock.now_us ()) ~dur:0.0 ~tid:(tid ())
-      (stamp args);
-    Span { name }
-  end
-
-let end_span = function
-  | Disabled -> ()
-  | Span { name } ->
-      record ~name ~ph:'E' ~ts:(Clock.now_us ()) ~dur:0.0 ~tid:(tid ()) []
-
-let with_span ?args name f =
-  let s = begin_span ?args name in
-  Fun.protect ~finally:(fun () -> end_span s) f
-
-let instant ?(args = []) name =
-  if Atomic.get sink <> None then
-    record ~name ~ph:'i' ~ts:(Clock.now_us ()) ~dur:0.0 ~tid:(tid ())
-      (stamp args)
-
-(* Complete ('X') events carry begin and duration in one record, so the
-   two ends need not land on the same domain — the router's forward span
-   begins on the client-connection domain and resolves on the shard
-   reader domain, where a B/E pair would confuse Chrome's per-tid
-   stacking. GC pause lanes use them for the same reason. *)
-let complete ?(args = []) ?tid:(tid_arg = -1) ~ts_us ~dur_us name =
-  if Atomic.get sink <> None then
-    let tid = if tid_arg >= 0 then tid_arg else tid () in
-    record ~name ~ph:'X' ~ts:ts_us ~dur:dur_us ~tid (stamp args)
-
 let retain ~trace_id =
   match Atomic.get sink with
   | None -> ()
   | Some s ->
       Mutex.lock s.lock;
-      let wanted = Wire.String trace_id in
       Array.iter
         (function
-          | Some ev
-            when List.exists
-                   (fun (k, v) -> k = "trace_id" && v = wanted)
-                   ev.args ->
+          | Some ({ ctx = Some { Ctx.span = Some sc; _ }; _ } as ev)
+            when sc.Ctx.trace_id = trace_id ->
               s.kept <- ev :: s.kept
           | _ -> ())
         s.ring;
@@ -125,21 +72,37 @@ let retain ~trace_id =
 (* ------------------------------------------------------------------ *)
 (* Sink lifecycle *)
 
+(* An event's own args, then the context it was recorded under: the
+   correlation id as ["ctx"], so a log grep and a trace lane meet on the
+   same string, and the span ids [rvu trace-merge] joins on. *)
 let event_json ev =
+  let context =
+    match ev.ctx with
+    | None -> []
+    | Some c -> (
+        ("ctx", Wire.String c.Ctx.cid)
+        ::
+        (match c.Ctx.span with
+        | None -> []
+        | Some sc -> (
+            ("trace_id", Wire.String sc.Ctx.trace_id)
+            :: ("span_id", Wire.String sc.Ctx.span_id)
+            ::
+            (match sc.Ctx.parent_id with
+            | None -> []
+            | Some p -> [ ("parent_id", Wire.String p) ]))))
+  in
   Wire.Obj
     ([
        ("name", Wire.String ev.name);
        ("cat", Wire.String "rvu");
-       ("ph", Wire.String (String.make 1 ev.ph));
+       ("ph", Wire.String "X");
        ("ts", Wire.Float ev.ts);
+       ("dur", Wire.Float ev.dur);
+       ("pid", Wire.Int 1);
+       ("tid", Wire.Int ev.tid);
      ]
-    @ (if ev.ph = 'X' then [ ("dur", Wire.Float ev.dur) ] else [])
-    @ [ ("pid", Wire.Int 1); ("tid", Wire.Int ev.tid) ]
-    @
-    match (ev.ph, ev.args) with
-    | 'i', args -> ("s", Wire.String "t") :: [ ("args", Wire.Obj args) ]
-    | _, [] -> []
-    | _, args -> [ ("args", Wire.Obj args) ])
+    @ match ev.args @ context with [] -> [] | args -> [ ("args", Wire.Obj args) ])
 
 let close () =
   match Atomic.exchange sink None with
@@ -169,7 +132,7 @@ let close () =
             ("s", Wire.String "g");
             ("ts", Wire.Float (Clock.now_us ()));
             ("pid", Wire.Int 1);
-            ("tid", Wire.Int (tid ()));
+            ("tid", Wire.Int (Domain.self () :> int));
             ( "args",
               Wire.Obj
                 [
@@ -197,7 +160,7 @@ let close () =
       Mutex.unlock s.lock
 
 let enable ?(capacity = 65536) ~path () =
-  if capacity < 2 then invalid_arg "Trace.enable: capacity < 2";
+  if capacity < 1 then invalid_arg "Trace.enable: capacity < 1";
   let oc = open_out path in
   let s =
     {

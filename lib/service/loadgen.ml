@@ -114,16 +114,22 @@ let mix ~seed n =
 (* ------------------------------------------------------------------ *)
 (* The Zipf-skewed mix *)
 
-(* A fixed population of distinct requests spanning every kind and model:
-   member j is the template cycle with a per-member jitter on one
-   parameter (distance, or rounds for schedules) so all 64 members have
-   distinct canonical keys. Rank follows membership order. *)
+(* A fixed population of requests spanning every kind and model: member
+   j is the template cycle with a per-member jitter on the parameter the
+   template takes (distance, or rounds for schedules), so of the 64
+   members the 21 jittered ones have distinct canonical keys and the
+   rest repeat the other eight templates. A schedule's rounds wrap at the
+   last round whose segment count fits an int: the six schedule members
+   ask for rounds 4, 16, 28, 12, 24 and 8. Rank follows membership
+   order. *)
 let zipf_population ~seed n =
   Array.init n (fun j ->
       let dj =
         2.0 +. (float_of_int (((j * 37) + seed) mod 101) /. 101.0)
       in
-      template ~unique_d:dj ~rounds:(1 + j) j)
+      template ~unique_d:dj
+        ~rounds:(1 + (j mod Rvu_search.Timing.max_schedule_round))
+        j)
 
 (* Closed-loop Zipf sampling: request i draws population rank k with
    probability proportional to 1/(k+1)^s via inverse-CDF lookup. Pacing,

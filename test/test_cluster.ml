@@ -1185,6 +1185,56 @@ let test_router_retry_gets_route_timeout () =
         (int_at [ "router"; "requests"; "retried" ] ok);
       check_int "shed once" 1 (int_at [ "router"; "requests"; "shed" ] ok)
 
+(* The router's records about one request carry its correlation id, as
+   the server's do. The stand-in shard swallows the request, so it times
+   out on its dispatch and on its one retry, and is shed: every accepted,
+   timed-out, rerouted and shed record names "req-7". A refused record's
+   warn names the id its answer carries. *)
+let test_router_logs_carry_ctx () =
+  let module Log = Rvu_obs.Log in
+  let port = 7576 in
+  let shard = stand_in port probes_only in
+  let config =
+    {
+      Router.default_config with
+      route_timeout_ms = 100.;
+      max_retries = 1;
+      connect_timeout_ms = 5000.;
+    }
+  in
+  Log.configure ~level:Log.Debug (Log.Ring 1024);
+  let router = Router.create ~config ~endpoints:[ endpoint port ] () in
+  Fun.protect
+    ~finally:(fun () ->
+      Router.stop router;
+      Domain.join shard;
+      Log.close ())
+  @@ fun () ->
+  check_string "shed once the retry runs out"
+    {|{"id":7,"ctx":"req-7","error":{"code":"overloaded","message":"shard retries exhausted"}}|}
+    (Router.handle_sync router {|{"id":7,"kind":"schedule","rounds":2}|});
+  ignore (Router.handle_sync router {|{"id":8,"kind":"hello","wire":"binary"}|});
+  let field k l = Option.bind (Result.to_option (Wire.parse l)) (Wire.member k) in
+  let records = Log.ring_contents () in
+  List.iter
+    (fun (msg, n, ctx) ->
+      let about =
+        List.filter (fun l -> field "msg" l = Some (Wire.String msg)) records
+      in
+      check_int (Printf.sprintf "%S records" msg) n (List.length about);
+      List.iter
+        (fun l ->
+          check_bool (Printf.sprintf "%S carries ctx %s" msg ctx) true
+            (field "ctx" l = Some (Wire.String ctx)))
+        about)
+    [
+      ("request accepted", 1, "req-7");
+      ("request timed out on shard", 2, "req-7");
+      ("request rerouted", 1, "req-7");
+      ("request shed", 1, "req-7");
+      ("request rejected", 1, "req-8");
+    ]
+
 (* A retry leaves the shard that timed it out. Two stand-in shards: the
    request's home (its first choice on the ring) answers probes and
    swallows everything else, the other answers every line. The request
@@ -1414,6 +1464,8 @@ let () =
             test_router_codec_matrix;
           Alcotest.test_case "a retry gets the whole route timeout" `Quick
             test_router_retry_gets_route_timeout;
+          Alcotest.test_case "its logs about a request carry its ctx" `Quick
+            test_router_logs_carry_ctx;
           Alcotest.test_case "a retry leaves the shard that timed it out" `Quick
             test_router_retry_leaves_timed_out_shard;
           Alcotest.test_case "a traced record fits the shards' limit" `Quick

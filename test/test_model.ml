@@ -413,6 +413,29 @@ let test_zipf () =
     with_ids;
   check_int "every request drawn" requests (List.length with_ids)
 
+(* Past round 28 a schedule's segment count no int holds. A long drive
+   never asks for one, and still reaches all 29 distinct requests of the
+   population: six schedules with six distinct rounds, five members each
+   of the three templates jittered on distance, and the eight templates
+   that repeat verbatim. *)
+let test_zipf_schedule_rounds () =
+  let lines = drive_lines (Loadgen.create ~seed:0 ~zipf:1.0 ~requests:20000 ()) in
+  let rounds =
+    List.filter_map
+      (fun l ->
+        match decode l with
+        | Ok { Proto.request = Proto.Schedule n; _ } -> Some n
+        | _ -> None)
+      lines
+  in
+  check_bool "schedules drawn" true (rounds <> []);
+  check_int "schedules past round 28" 0
+    (List.length
+       (List.filter (fun n -> n > Rvu_search.Timing.max_schedule_round) rounds));
+  check_int "distinct schedule rounds" 6
+    (List.length (List.sort_uniq compare rounds));
+  check_int "distinct requests" 29 (fst (frequency lines))
+
 let test_zipf_validation () =
   let invalid f =
     match f () with
@@ -472,5 +495,7 @@ let () =
         [
           Alcotest.test_case "determinism and skew" `Quick test_zipf;
           Alcotest.test_case "validation" `Quick test_zipf_validation;
+          Alcotest.test_case "schedules stop at round 28" `Quick
+            test_zipf_schedule_rounds;
         ] );
     ]

@@ -454,65 +454,57 @@ let parse_trace path =
   | Ok _ -> Alcotest.fail "trace file is not a JSON array"
   | Error e -> Alcotest.failf "trace file: %s" (Wire.error_to_string e)
 
-let event_counts events =
-  List.fold_left
-    (fun (b, e, i) ev ->
-      match Wire.member "ph" ev with
-      | Some (Wire.String "B") -> (b + 1, e, i)
-      | Some (Wire.String "E") -> (b, e + 1, i)
-      | Some (Wire.String "i") -> (b, e, i + 1)
-      | _ -> (b, e, i))
-    (0, 0, 0) events
+let count_ph ph events =
+  List.length
+    (List.filter (fun ev -> Wire.member "ph" ev = Some (Wire.String ph)) events)
+
+(* A one-microsecond span that begins now. *)
+let span name = Trace.complete ~ts_us:(Rvu_obs.Clock.now_us ()) ~dur_us:1.0 name
 
 let test_trace_file_well_formed () =
   let path = Filename.temp_file "rvu_test" ".trace.json" in
   check_bool "disabled by default" false (Trace.enabled ());
   (* Disabled sites are free to call. *)
-  Trace.with_span "ignored" (fun () -> ());
+  span "ignored";
   Trace.enable ~path ();
   check_bool "enabled" true (Trace.enabled ());
   check_bool "double enable raises" true
     (match Trace.enable ~path () with
     | _ -> false
     | exception Invalid_argument _ -> true);
-  Trace.with_span "outer" (fun () ->
-      Trace.with_span "inner" (fun () -> Trace.instant "mark"));
-  let d =
-    Domain.spawn (fun () -> Trace.with_span "other-domain" (fun () -> ()))
-  in
+  span "first";
+  span "second";
+  let d = Domain.spawn (fun () -> span "other-domain") in
   Domain.join d;
   Trace.close ();
   Trace.close () (* idempotent *);
   check_bool "disabled after close" false (Trace.enabled ());
   let events = parse_trace path in
-  let b, e, i = event_counts events in
-  check_int "three spans open" 3 b;
-  check_int "three spans close" 3 e;
-  check_int "one instant plus metadata" 2 i;
+  check_int "three complete spans" 3 (count_ph "X" events);
+  check_int "one metadata event" 1 (count_ph "i" events);
+  check_int "nothing else" 4 (List.length events);
   (* Spans carry distinct tids per domain; Chrome nests by tid. *)
   let tid_of name =
     List.find_map
       (fun ev ->
-        if
-          Wire.member "name" ev = Some (Wire.String name)
-          && Wire.member "ph" ev = Some (Wire.String "B")
-        then Wire.member "tid" ev
+        if Wire.member "name" ev = Some (Wire.String name) then
+          Wire.member "tid" ev
         else None)
       events
   in
   check_bool "domains get distinct tids" true
-    (tid_of "outer" <> tid_of "other-domain");
+    (tid_of "first" <> tid_of "other-domain");
   Sys.remove path
 
 let test_trace_ring_keeps_last () =
   let path = Filename.temp_file "rvu_test" ".trace.json" in
   Trace.enable ~capacity:4 ~path ();
   for i = 1 to 10 do
-    Trace.instant (Printf.sprintf "ev%d" i)
+    span (Printf.sprintf "ev%d" i)
   done;
   Trace.close ();
   let events = parse_trace path in
-  (* Metadata event + the last 4 of 10 instants, oldest first. *)
+  (* Metadata event + the last 4 of 10 spans, oldest first. *)
   check_int "capacity + metadata retained" 5 (List.length events);
   let names =
     List.filter_map
@@ -636,10 +628,9 @@ let test_events_stamped_with_ctx () =
   Trace.enable ~path ();
   let root = Ctx.new_root () in
   let child = Ctx.child_of root in
-  Trace.instant "unstamped";
-  Ctx.with_ctx (ctx ~span:root "req-root") (fun () -> Trace.instant "at-root");
-  Ctx.with_ctx (ctx ~span:child "req-child") (fun () ->
-      Trace.instant "at-child");
+  span "unstamped";
+  Ctx.with_ctx (ctx ~span:root "req-root") (fun () -> span "at-root");
+  Ctx.with_ctx (ctx ~span:child "req-child") (fun () -> span "at-child");
   Trace.close ();
   let events = parse_trace path in
   check_bool "no context, no stamp" true
@@ -660,16 +651,40 @@ let test_events_stamped_with_ctx () =
     (arg_str "parent_id" at_child = Some root.Ctx.span_id);
   Sys.remove path
 
+(* The bytes of one complete event recorded under a traced context: the
+   event's own args come first, then the correlation id and the span
+   ids, in that order. *)
+let test_complete_event_bytes () =
+  let path = Filename.temp_file "rvu_test" ".trace.json" in
+  Trace.enable ~path ();
+  let sc =
+    {
+      Ctx.trace_id = "4bf92f3577b34da6a3ce929d0e0e4736";
+      span_id = "00f067aa0ba902b7";
+      parent_id = Some "b7ad6b7169203331";
+    }
+  in
+  Ctx.with_ctx (ctx ~span:sc "req-7") (fun () ->
+      Trace.complete
+        ~args:[ ("kind", Wire.String "simulate"); ("shard", Wire.Int 1) ]
+        ~tid:3 ~ts_us:1500.0 ~dur_us:250.5 "forward");
+  Trace.close ();
+  let lines = String.split_on_char '\n' (read_file path) in
+  Sys.remove path;
+  check_string "event bytes"
+    "{\"name\":\"forward\",\"cat\":\"rvu\",\"ph\":\"X\",\"ts\":1500.0,\"dur\":250.5,\"pid\":1,\"tid\":3,\"args\":{\"kind\":\"simulate\",\"shard\":1,\"ctx\":\"req-7\",\"trace_id\":\"4bf92f3577b34da6a3ce929d0e0e4736\",\"span_id\":\"00f067aa0ba902b7\",\"parent_id\":\"b7ad6b7169203331\"}}"
+    (List.nth lines 2)
+
 let test_retain_survives_ring_wrap () =
   let path = Filename.temp_file "rvu_test" ".trace.json" in
   Trace.enable ~capacity:4 ~path ();
   let sc = Ctx.new_root () in
   Ctx.with_ctx (ctx ~span:sc "req-slow") (fun () ->
-      Trace.instant "slow1";
-      Trace.instant "slow2");
+      span "slow1";
+      span "slow2");
   Trace.retain ~trace_id:sc.Ctx.trace_id;
   for i = 1 to 8 do
-    Trace.instant (Printf.sprintf "fill%d" i)
+    span (Printf.sprintf "fill%d" i)
   done;
   Trace.close ();
   let events = parse_trace path in
@@ -707,7 +722,7 @@ let test_dropped_counter_mirrors_ring () =
   let path = Filename.temp_file "rvu_test" ".trace.json" in
   Trace.enable ~capacity:2 ~path ();
   for i = 1 to 5 do
-    Trace.instant (Printf.sprintf "d%d" i)
+    span (Printf.sprintf "d%d" i)
   done;
   Trace.close ();
   Sys.remove path;
@@ -982,6 +997,8 @@ let () =
             test_trace_ring_keeps_last;
           Alcotest.test_case "unwritable path" `Quick
             test_trace_unwritable_path;
+          Alcotest.test_case "complete event bytes pinned" `Quick
+            test_complete_event_bytes;
           Alcotest.test_case "retain survives ring wrap" `Quick
             test_retain_survives_ring_wrap;
           Alcotest.test_case "dropped counter mirrors ring" `Quick

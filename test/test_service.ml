@@ -906,11 +906,11 @@ let test_server_trace_span_ctx () =
           List.find_opt
             (fun ev ->
               Wire.member "name" ev = Some (Wire.String "engine.detect")
-              && Wire.member "ph" ev = Some (Wire.String "B"))
+              && Wire.member "ph" ev = Some (Wire.String "X"))
             events
         with
         | Some ev -> ev
-        | None -> Alcotest.fail "no engine.detect begin event")
+        | None -> Alcotest.fail "no engine.detect complete event")
     | _ -> Alcotest.fail "trace file is not a JSON array"
   in
   let arg k = Option.bind (Wire.member "args" detect) (Wire.member k) in
@@ -935,6 +935,80 @@ let test_server_trace_span_ctx () =
   in
   check_bool "request-latency exemplar names the inbound trace" true
     exemplar_line
+
+(* rvu serve --slow-ms, end to end: a traced server with a four-event
+   ring answers a simulate far past a 1 ms budget, then enough health
+   probes to wrap the ring. The file written at close still holds the
+   slow request's serve span, re-emitted from its force-retained copies,
+   and the warn record about it names the same trace id. *)
+let test_server_slow_request_retained () =
+  let path = Filename.temp_file "rvu-test-trace" ".json" in
+  Fun.protect
+    ~finally:(fun () ->
+      Rvu_obs.Trace.close ();
+      Log.close ();
+      try Sys.remove path with Sys_error _ -> ())
+  @@ fun () ->
+  Log.configure ~level:Log.Warn (Log.Ring 64);
+  Rvu_obs.Trace.enable ~capacity:4 ~path ();
+  let config =
+    {
+      Server.default_config with
+      Server.jobs = 1;
+      cache_entries = 0;
+      slow_ms = Some 1.0;
+    }
+  in
+  let server = Server.create ~config () in
+  (* Identical robots: the engine scans all 52,288 intervals up to the
+     horizon, tens of milliseconds whatever the caches hold. *)
+  let slow =
+    Result.get_ok
+      (Wire.parse
+         (Server.handle_sync server
+            {|{"id":1,"kind":"simulate","d":2,"r":0.1,"horizon":100000}|}))
+  in
+  (* The serve span is recorded and retained after the answer leaves. *)
+  Server.wait_idle server;
+  for id = 2 to 21 do
+    ignore (Server.handle_sync server (Printf.sprintf {|{"id":%d,"kind":"health"}|} id))
+  done;
+  Server.stop server;
+  Rvu_obs.Trace.close ();
+  check_bool "the slow simulate succeeded" true (error_code slow = None);
+  let trace_id =
+    match
+      List.find_opt
+        (fun l ->
+          log_field "msg" l = Some (Wire.String "slow request: trace retained")
+          && log_field "kind" l = Some (Wire.String "simulate"))
+        (Log.ring_contents ())
+    with
+    | Some l -> (
+        match log_field "trace_id" l with
+        | Some (Wire.String t) -> t
+        | _ -> Alcotest.fail "the slow-request record names no trace id")
+    | None -> Alcotest.fail "no slow-request record for the simulate"
+  in
+  let events =
+    match Wire.parse (In_channel.with_open_bin path In_channel.input_all) with
+    | Ok (Wire.List events) -> events
+    | _ -> Alcotest.fail "trace file is not a JSON array"
+  in
+  let meta k =
+    match Option.bind (Wire.member "args" (List.hd events)) (Wire.member k) with
+    | Some (Wire.Int n) -> n
+    | _ -> Alcotest.failf "no %s in the trace metadata" k
+  in
+  check_bool "the ring wrapped" true (meta "dropped_oldest" > 0);
+  check_bool "copies force-retained" true (meta "force_retained" >= 1);
+  check_bool "the slow request's serve span survives the wrap" true
+    (List.exists
+       (fun ev ->
+         Wire.member "name" ev = Some (Wire.String "serve")
+         && Option.bind (Wire.member "args" ev) (Wire.member "trace_id")
+            = Some (Wire.String trace_id))
+       events)
 
 (* The health endpoint: ready when quiet, degraded after a shed, and the
    per-probe shed mark advances so the next probe is ready again. *)
@@ -2225,6 +2299,8 @@ let () =
             test_server_fault_correlation;
           Alcotest.test_case "trace spans carry the request ctx" `Quick
             test_server_trace_span_ctx;
+          Alcotest.test_case "a slow request's trace survives the ring" `Quick
+            test_server_slow_request_retained;
           Alcotest.test_case "health probe" `Quick test_server_health_probe;
           Alcotest.test_case "loadgen counts and summaries" `Quick
             test_loadgen_summary;
